@@ -17,9 +17,9 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from . import analysis, qseries, selftest
+from .core import list_modules, models
 from .errors import (ExpressionError, InhomogeneousOperator, MinrepError,
                      OddWeight, WeightMismatch)
-from .sweeps import canonical_labels, models
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -137,7 +137,7 @@ def cmd_scan(args, parser):
     cells = [
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)
-        for label in canonical_labels(model.p, model.q)
+        for label in list_modules(model)
     ]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
@@ -254,15 +254,15 @@ def cmd_qseries(args):
 
 def cmd_selftest(args):
     results = selftest.run_selftests(args.suite, args.grid)
-    failed = 0
     for result in results:
         status = "ok" if result.ok else "FAIL"
         print("%s: %d checks, %d failures [%s]"
               % (result.name, result.checked, len(result.failures), status))
+        if not result.checked:
+            print("  no checks ran; the grid is too small")
         for message in result.failures[:10]:
             print("  " + message)
-        failed += len(result.failures)
-    return EXIT_SELFTEST if failed else EXIT_OK
+    return EXIT_OK if all(result.ok for result in results) else EXIT_SELFTEST
 
 
 if __name__ == "__main__":

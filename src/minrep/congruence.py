@@ -30,7 +30,7 @@ and q are powers of primes exceeding 3.
 """
 
 from dataclasses import dataclass, field
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import DimensionTooLarge, HypothesisNotMet, NotPrime
 from .fusion import rep_dimension
@@ -93,16 +93,44 @@ def factorize(n):
     return tuple(out)
 
 
+def fast_level(p, q, m, n):
+    """Level N of rho_{m,n} for an acting label, in O(1) integer steps.
+
+    With M = 48 p q the exponents are r_j = x_j / M for
+
+        x_j = 12 (n_j p - m_j q)^2 - (n p - m q)^2 + (p - q)^2 - 2 p q,
+
+    so N = lcm_j (M / gcd(M, x_j)) = M / gcd(M, gcd_j x_j).  The partners
+    fill the box m_j = (p+1)/2 + i, n_j = (n+1)/2 + j with
+    0 <= i < (p-m)/2 and 0 <= j < q-n, on which x is an integer quadratic
+    f(i, j).  By Newton's forward differences,
+    f(i, j) = sum over a + b <= 2 of C(i, a) C(j, b) (D^a_i D^b_j f)(0, 0),
+    and each difference is an integer combination of values at points
+    (a', b') with a' <= a, b' <= b.  Terms with a or b past the box width
+    vanish (C(i, a) = 0 for i < a), so every box value is an integer
+    combination of the values at the box points with i + j <= 2, and the
+    gcd over the whole box is the gcd over that corner (Polya's fixed
+    divisor, 1915).  The corner must be clipped to the box: boxes one or
+    two wide are common (m = p - 2 gives width 1).
+    """
+    big = 48 * p * q
+    k0 = (p - q) ** 2 - 2 * p * q - (n * p - m * q) ** 2
+    a0 = (n + 1) // 2 * p - (p + 1) // 2 * q
+    g = 0
+    for i in range(min(3, (p - m) // 2)):
+        for j in range(min(3 - i, q - n)):
+            a = a0 + j * p - i * q
+            g = gcd(g, 12 * a * a + k0)
+    return big // gcd(big, g)
+
+
 def level(profile):
     """Level of rho_{m,n}: the lcm of the reduced denominators of the r_j.
 
     Since rho(T) is diagonal this equals the order of rho(T) in the image
-    group.  It divides 48 p q.
+    group.  It divides 48 p q and is computed by fast_level.
     """
-    n = 1
-    for rj in profile.r:
-        n = lcm(n, rj.denominator)
-    assert 48 * profile.model.p * profile.model.q % n == 0
+    n = fast_level(profile.model.p, profile.model.q, profile.label.m, profile.label.n)
     return Level(n, factorize(n))
 
 
@@ -357,7 +385,9 @@ def congruence_verdict(model, label, profile=None):
     congruence, then the dimension-vs-level certificate, then the three
     arithmetic prime-power criteria.  Whenever one of the arithmetic
     criteria fires, the certificate must fire as well (its proof is the
-    certificate); this consistency is asserted.
+    certificate), so they never decide a verdict and are only listed in
+    agreeing_criteria.  This and the two other consistency invariants are
+    checked explicitly and raise AssertionError, also under python -O.
     """
     if profile is None:
         profile = rep_profile(model, label)
@@ -367,7 +397,7 @@ def congruence_verdict(model, label, profile=None):
     cert = NWCertificate(lv, bound, s) if s < bound else None
 
     ppc = prime_power_criterion(model, label)
-    bpc, bpc_case = boundary_prime_power_criterion(model, label)
+    bpc, _ = boundary_prime_power_criterion(model, label)
     dpc = distinct_primes_criterion(model, label)
     agreeing = []
     if cert is not None:
@@ -378,8 +408,8 @@ def congruence_verdict(model, label, profile=None):
         agreeing.append(BOUNDARY_PRIME_POWER)
     if dpc:
         agreeing.append(DISTINCT_PRIMES)
-    assert not ((ppc or bpc or dpc) and cert is None), \
-        "arithmetic criterion fired without the dimension bound"
+    if (ppc or bpc or dpc) and cert is None:
+        raise AssertionError("arithmetic criterion fired without the dimension bound")
 
     base = {
         "s": s,
@@ -392,26 +422,18 @@ def congruence_verdict(model, label, profile=None):
     if s <= 3:
         low = classify_low_dim(model, label)
         if low.status != UNKNOWN:
-            assert not (low.status == CONGRUENCE and cert is not None), \
-                "congruence classification contradicts the dimension bound"
+            if low.status == CONGRUENCE and cert is not None:
+                raise AssertionError(
+                    "congruence classification contradicts the dimension bound")
             details = dict(base)
             details.update(low.details)
             return CongruenceVerdict(low.status, low.criterion, details)
 
     if (label.m, label.n) == (1, 1):
-        assert cert is None, "dimension bound fired on the vacuum label"
+        if cert is not None:
+            raise AssertionError("dimension bound fired on the vacuum label")
         return CongruenceVerdict(CONGRUENCE, VACUUM, base)
 
     if cert is not None:
         return CongruenceVerdict(NONCONGRUENCE, NW_DIMENSION_BOUND, base)
-    if ppc:
-        details = dict(base)
-        details.update(ppc.trace)
-        return CongruenceVerdict(NONCONGRUENCE, PRIME_POWER_BOUND, details)
-    if bpc:
-        details = dict(base)
-        details["case"] = bpc_case
-        return CongruenceVerdict(NONCONGRUENCE, BOUNDARY_PRIME_POWER, details)
-    if dpc:
-        return CongruenceVerdict(NONCONGRUENCE, DISTINCT_PRIMES, base)
     return CongruenceVerdict(UNKNOWN, NO_CRITERION, base)

@@ -98,11 +98,22 @@ def canonical_label(model, m, n):
     raise NoOddRepresentative("no odd-m representative for (%s, %s)" % (m, n))
 
 
+def models(p_max, q_max):
+    """All minimal models (p odd, q) with p <= p_max, q <= q_max, sorted.
+
+    q = p never occurs: p >= 3 is then a common factor.
+    """
+    for p in range(3, p_max + 1, 2):
+        for q in range(2, q_max + 1):
+            if gcd(p, q) == 1:
+                yield MinimalModel(p, q)
+
+
 def list_modules(model):
     """All (p-1)(q-1)/2 canonical labels, sorted by (m, n).
 
     One label per identification class; the acting ones among them are
-    those with odd n as well.
+    those with odd n as well (filter on ModuleLabel.is_acting).
     """
     p, q = model.p, model.q
     labels = [ModuleLabel(m, n) for m in range(1, p, 2) for n in range(1, q)]

@@ -5,6 +5,7 @@ the library paths they check) so that agreement is a genuine cross-check.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def brute_self_coupled(p, q, m, n):
@@ -27,6 +28,24 @@ def brute_self_coupled(p, q, m, n):
             if n < 2 * b and sb < 2 * q and sb % 2 == 1:
                 found.add(min((a, b), (p - a, q - b)))
     return found
+
+
+def fraction_level(p, q, m, n):
+    """Level of rho_{m,n}: the lcm of the reduced denominators of the r_j.
+
+    The partners are the classes found by brute_self_coupled, and every
+    exponent comes from the Kac formula as an exact Fraction:
+    r = h_{a,b} - c/24 - h_{m,n}/12 with h_{a,b} = ((bp - aq)^2 - (p-q)^2)
+    / (4pq) and c = 1 - 6(p-q)^2 / (pq).
+    """
+    def weight(a, b):
+        return Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q)
+
+    shift = (1 - Fraction(6 * (p - q) ** 2, p * q)) / 24 + weight(m, n) / 12
+    out = 1
+    for a, b in brute_self_coupled(p, q, m, n):
+        out = lcm(out, (weight(a, b) - shift).denominator)
+    return out
 
 
 def partner_canonical_keys(p, q, pairs):

@@ -19,20 +19,23 @@ from minrep import cli
 from minrep.congruence import (CONGRUENCE, NONCONGRUENCE, NW_DIMENSION_BOUND,
                                boundary_prime_power_criterion,
                                classify_low_dim, congruence_verdict,
-                               distinct_primes_criterion, level,
+                               distinct_primes_criterion, fast_level, level,
                                min_congruence_dim, prime_power_criterion)
-from minrep.core import ModuleLabel, validate_model
+from minrep.core import ModuleLabel, list_modules, models, validate_model
 from minrep.qseries import eisenstein, eta_power, modular_derivative
 from minrep.repdata import rep_profile
 from minrep.selftest import (suite_lemmas, suite_monic, suite_qseries,
                              suite_ratios)
 from minrep.spaces import EQUAL, space_comparison
-from minrep.sweeps import acting_labels, fast_level, models
 
 from oracles import (brute_self_coupled, dim3_case_i_exponents,
                      partner_canonical_keys, series_ratio)
 
 F = Fraction
+
+
+def _acting(model):
+    return [label for label in list_modules(model) if label.is_acting]
 
 
 def _report(num, description, failures, checked):
@@ -62,7 +65,7 @@ def test_criterion_01_dimension_formula_vs_enumeration():
     checked = 0
     for model in models(30, 30):
         p, q = model.p, model.q
-        for label in acting_labels(p, q):
+        for label in _acting(model):
             m, n = label.m, label.n
             checked += 1
             from minrep.fusion import self_coupled_partners
@@ -128,22 +131,6 @@ def test_criterion_05_three_dim_family_r_gap_and_level():
             r_failures + level_failures, checked)
 
 
-def test_criterion_05_level_sharpened():
-    # exact level law for the same family: 12q unless p = q mod 3, then 4q
-    failures = []
-    checked = 0
-    for p, q in _dim3_case_i_pairs(39, 40):
-        profile = rep_profile(validate_model(p, q), ModuleLabel(p - 2, q - 3))
-        checked += 1
-        expected = 4 * q if (p - q) % 3 == 0 else 12 * q
-        if level(profile).N != expected:
-            failures.append((p, q, level(profile).N))
-        if profile.r[0] - profile.r[2] != F(1, 2):
-            failures.append((p, q, "gap"))
-    _report(5, "family (p-2, q-3): exact level law 12q / 4q by p-q mod 3 [sharpened]",
-            failures, checked)
-
-
 def test_criterion_06_benchmarks():
     failures = []
     lee_yang = validate_model(5, 2)
@@ -182,7 +169,7 @@ def test_criterion_08_distinct_prime_reproduction():
                 continue
             model = validate_model(p, q)
             exceptional = {(1, 1), (1, q - 2), (p - 2, 1), (p - 2, q - 2)}
-            for label in acting_labels(p, q):
+            for label in _acting(model):
                 if (label.m, label.n) in exceptional:
                     continue
                 checked += 1
@@ -200,7 +187,7 @@ def test_criterion_09_criterion_consistency():
     checked = 0
     for model in models(60, 60):
         p, q = model.p, model.q
-        for label in acting_labels(p, q):
+        for label in _acting(model):
             m, n = label.m, label.n
             s = (p - m) * (q - n) // 2
             cert_fires = s < min_congruence_dim(fast_level(p, q, m, n))

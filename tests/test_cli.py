@@ -1,7 +1,11 @@
 """Analysis records, serialization round trips and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 
+import minrep
 from minrep import analysis, cli
 
 
@@ -199,3 +203,23 @@ def test_cli_selftest_small_grids(capsys):
     assert code == 0 and "[ok]" in out
     code = cli.main(["selftest", "--suite", "ratios", "--grid", "20"])
     assert code == 0
+
+
+def test_cli_selftest_fails_a_suite_that_ran_no_checks(capsys):
+    # grid 1 holds no minimal model, so the three grid suites check nothing
+    code = cli.main(["selftest", "--grid", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "monic: 0 checks, 0 failures [FAIL]" in out
+    assert "qseries: 33 checks, 0 failures [ok]" in out
+    assert cli.main(["selftest", "--suite", "lemmas", "--grid", "4"]) == 1
+    assert "lemmas: 0 checks, 0 failures [FAIL]" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, minrep.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

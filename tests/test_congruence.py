@@ -1,23 +1,31 @@
 """Levels, the dimension bound, valuation lemmas and verdict aggregation."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import pytest
 
+import minrep
 from minrep import (ModuleLabel, boundary_prime_power_criterion,
                     classify_low_dim, congruence_verdict,
-                    distinct_primes_criterion, level, min_congruence_dim,
-                    nw_min_dim, nw_noncongruence_certificate,
-                    prime_power_criterion, rep_profile, valuation_check,
-                    validate_model)
+                    distinct_primes_criterion, level, list_modules,
+                    min_congruence_dim, nw_min_dim,
+                    nw_noncongruence_certificate, prime_power_criterion,
+                    rep_profile, valuation_check, validate_model)
 from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
                                DIM2_CONSTANT_REP, DIM2_INFINITE_IMAGE,
                                DIM2_P5, DIM3_INFINITE_IMAGE,
                                DIM3_LEVEL_DIVISOR, DIM3_UNDETERMINED,
                                DISTINCT_PRIMES, NONCONGRUENCE,
                                NW_DIMENSION_BOUND, ONE_DIMENSIONAL, UNKNOWN,
-                               VACUUM, Level, factorize)
+                               VACUUM, Level, factorize, fast_level)
+from minrep.core import models
 from minrep.errors import DimensionTooLarge, HypothesisNotMet, NotPrime
+
+from oracles import fraction_level
 
 
 def _profile(p, q, m, n):
@@ -34,6 +42,23 @@ def test_level_divides_48pq():
     for p, q, m, n in [(3, 4, 1, 1), (5, 7, 1, 3), (9, 8, 5, 3), (15, 4, 7, 1)]:
         lv = level(_profile(p, q, m, n))
         assert (48 * p * q) % lv.N == 0
+
+
+def test_level_matches_fraction_oracle():
+    # both the integer routine and level(profile) against the lcm of the
+    # Fraction denominators, on every acting label with p, q <= 20; boxes
+    # one or two wide (m = p - 2, n = q - 2, ...) are among them
+    checked = 0
+    for model in models(20, 20):
+        p, q = model.p, model.q
+        for label in list_modules(model):
+            if not label.is_acting:
+                continue
+            expected = fraction_level(p, q, label.m, label.n)
+            assert fast_level(p, q, label.m, label.n) == expected, (p, q, label)
+            assert level(rep_profile(model, label)).N == expected, (p, q, label)
+            checked += 1
+    assert checked > 1000
 
 
 def test_level_factorization():
@@ -207,3 +232,25 @@ def test_verdict_unknown_when_nothing_fires():
     assert v.status in (CONGRUENCE, NONCONGRUENCE, UNKNOWN)
     v = congruence_verdict(validate_model(9, 8), ModuleLabel(5, 5))
     assert v.criterion != "none" or v.status == UNKNOWN
+
+
+def test_verdict_invariant_survives_python_O():
+    # on (5, 7), (1, 5) the dimension bound is idle (s = 4, N = 40); forcing
+    # an arithmetic criterion to fire there must raise, even under -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    script = textwrap.dedent("""
+        import sys
+        import minrep.congruence as c
+        from minrep import ModuleLabel, validate_model
+        print("optimize", sys.flags.optimize)
+        c.distinct_primes_criterion = lambda model, label: True
+        try:
+            c.congruence_verdict(validate_model(5, 7), ModuleLabel(1, 5))
+        except AssertionError as exc:
+            print("raised:", exc)
+        """)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "optimize 1" in out
+    assert "raised: arithmetic criterion fired without the dimension bound" in out

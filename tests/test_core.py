@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from minrep import (MinimalModel, ModuleLabel, canonical_label, central_charge,
                     conformal_weight, list_modules, validate_model)
+from minrep.core import models
 from minrep.errors import BothEven, NotCoprime, OutOfRange
 
 
@@ -98,13 +99,20 @@ def test_list_modules_no_flip_duplicates():
             assert (model.p - m, model.q - n) not in labels
 
 
-def test_list_modules_matches_sweep_enumeration():
-    from minrep.sweeps import acting_labels, canonical_labels
-    for model in _coprime_models(12):
-        listed = list_modules(model)
-        assert listed == list(canonical_labels(model.p, model.q))
-        acting = [lab for lab in listed if lab.is_acting]
-        assert acting == list(acting_labels(model.p, model.q))
+def test_models_and_acting_filter_match_independent_loop():
+    # every validated coprime pair in range, in sorted order
+    expected = sorted({validate_model(a, b) for a in range(2, 13)
+                       for b in range(2, 13) if gcd(a, b) == 1})
+    assert list(models(12, 12)) == expected
+    for model in models(12, 12):
+        p, q = model.p, model.q
+        # the odd-m member of each flip class of the full Kac table
+        reps = sorted({(m, n) if m % 2 else (p - m, q - n)
+                       for m in range(1, p) for n in range(1, q)})
+        listed = [(lab.m, lab.n) for lab in list_modules(model)]
+        assert listed == reps
+        acting = [(lab.m, lab.n) for lab in list_modules(model) if lab.is_acting]
+        assert acting == [(m, n) for m, n in reps if n % 2]
 
 
 @st.composite

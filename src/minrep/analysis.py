@@ -14,7 +14,9 @@ intertwining action; their records keep only the bookkeeping fields and set
 import csv
 import io
 import json
+from math import gcd
 
+# level stays bound here so that call-site wrappers of analysis.level resolve
 from .congruence import congruence_verdict, level
 from .core import canonical_label, central_charge, conformal_weight, validate_model
 from .errors import SubsetBlowup
@@ -35,6 +37,12 @@ CSV_COLUMNS = [
 def frac_str(x):
     """Exact "a/b" rendering of a rational (always with a denominator)."""
     return "%s/%s" % (x.numerator, x.denominator)
+
+
+def ratio_str(num, den):
+    """frac_str of num/den for integers num and den > 0, without a Fraction."""
+    g = gcd(num, den)
+    return "%d/%d" % (num // g, den // g)
 
 
 def analyze(p, q, m, n):
@@ -58,21 +66,24 @@ def analyze(p, q, m, n):
         return record
 
     profile = rep_profile(model, label)
-    lv = level(profile)
     try:
         cert = irreducibility_certificate(profile)
     except SubsetBlowup:
         cert = NOT_COMPUTED
+    verdict = congruence_verdict(model, label, profile)
+    big = profile.big
+    # h_j = lambda_j + c/24 and c/24 = (2pq - 12(p - q)^2) / big
+    h_shift = 2 * model.p * model.q - 12 * (model.p - model.q) ** 2
 
     record["s"] = profile.s
     record["partners"] = [
-        {"m": mj, "n": nj, "h": frac_str(hj)}
-        for (mj, nj), hj in zip(profile.partners, profile.h_partner)
+        {"m": mj, "n": nj, "h": ratio_str(yj + h_shift, big)}
+        for (mj, nj), yj in zip(profile.partners, profile.y)
     ]
-    record["lambda"] = [frac_str(l) for l in profile.lam]
-    record["r"] = [frac_str(rj) for rj in profile.r]
-    record["level"] = lv.N
-    record["level_factorization"] = [list(ft) for ft in lv.factorization]
+    record["lambda"] = [ratio_str(yj, big) for yj in profile.y]
+    record["r"] = [ratio_str(xj, big) for xj in profile.x]
+    record["level"] = verdict.details["level"]
+    record["level_factorization"] = verdict.details["level_factorization"]
     record["irreducibility"] = cert
 
     if profile.s <= 3 and cert == IRREDUCIBLE:
@@ -83,7 +94,6 @@ def analyze(p, q, m, n):
         record["k0"] = None
         record["alpha"] = None
 
-    verdict = congruence_verdict(model, label, profile)
     record["verdict"] = {
         "status": verdict.status,
         "criterion": verdict.criterion,

@@ -133,14 +133,18 @@ def _parse_filter(spec, parser):
 def cmd_scan(args, parser):
     if args.p_max < 2 or args.q_max < 2:
         raise _UsageError("scan bounds must be >= 2")
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1, got %s" % args.jobs)
     keep = _parse_filter(args.filter, parser)
     cells = [
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)
         for label in list_modules(model)
     ]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    # more workers than CPUs or cells only adds start-up cost
+    jobs = min(args.jobs, os.cpu_count() or 1, len(cells))
+    if jobs > 1:
+        with Pool(jobs) as pool:
             records = pool.map(_scan_cell, cells, chunksize=64)
     else:
         records = [_scan_cell(c) for c in cells]

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BothEven, NoOddRepresentative, NotCoprime, OutOfRange
+from .errors import (BothEven, NoOddRepresentative, NotAnInteger, NotCoprime,
+                     OutOfRange)
 
 
 @dataclass(frozen=True, order=True)
@@ -55,9 +56,10 @@ def validate_model(p, q):
     """Build a MinimalModel from integers p, q >= 2.
 
     The pair is swapped if needed so that the stored p is odd; this loses
-    nothing since the central charge is symmetric.  Raises OutOfRange,
-    BothEven or NotCoprime on bad input.
+    nothing since the central charge is symmetric.  Raises NotAnInteger,
+    OutOfRange, BothEven or NotCoprime on bad input.
     """
+    _check_int(p, q)
     if p < 2 or q < 2:
         raise OutOfRange("minimal model indices must satisfy p, q >= 2, got (%s, %s)" % (p, q))
     if p % 2 == 0 and q % 2 == 0:
@@ -121,7 +123,16 @@ def list_modules(model):
     return labels
 
 
+def _check_int(*values):
+    # bool is an int subclass and float indices compare fine, so test the type
+    for v in values:
+        if type(v) is not int:
+            raise NotAnInteger("indices must be int, got %r of type %s"
+                               % (v, type(v).__name__))
+
+
 def _check_label_range(model, m, n):
+    _check_int(m, n)
     if not (1 <= m <= model.p - 1 and 1 <= n <= model.q - 1):
         raise OutOfRange(
             "Kac label (%s, %s) out of range for (p, q) = (%s, %s)" % (m, n, model.p, model.q)

@@ -9,6 +9,10 @@ class MinrepError(ValueError):
     """Base class for all contract violations raised by minrep."""
 
 
+class NotAnInteger(MinrepError, TypeError):
+    """An index p, q, m or n is not a plain int (bool and float included)."""
+
+
 class OutOfRange(MinrepError):
     """An integer argument lies outside its permitted range."""
 

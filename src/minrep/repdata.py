@@ -13,6 +13,13 @@ e^{2 pi i r_j} where
     r_j = lambda_j - h_{m,n} / 12
         = (12 (n_j p - m_j q)^2 - (n p - m q)^2 + (p - q)^2 - 2 p q) / (48 p q).
 
+The profile stores only the integer numerators over M = 48 p q,
+
+    y_j = 12 a_j^2 - 2 p q                          (lambda_j = y_j / M),
+    x_j = y_j - ((n p - m q)^2 - (p - q)^2)         (r_j = x_j / M),
+
+with a_j = n_j p - m_j q; the Fraction tuples are derived on demand.
+
 When s is 1 or a prime, the label has one of two shapes and the exponents
 admit closed forms in (p, q, s, j); in either shape the identity
 
@@ -27,7 +34,8 @@ and all such characters take twelfth roots of unity on T.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from functools import cached_property
+from math import floor, isqrt
 
 from .core import central_charge, conformal_weight
 from .errors import (IrreducibilityUnknown, NotPrimeCase, OutOfScopeDimension,
@@ -43,33 +51,49 @@ SUBSET_CAP = 20
 
 @dataclass(frozen=True)
 class RepProfile:
-    """Full exponent data of rho_{m,n}.
+    """Full exponent data of rho_{m,n}, as integer numerators over big.
 
-    lam[j] is the leading exponent of the j-th 1-point function and r[j]
-    the exponent of the j-th diagonal entry of rho(T); both follow the
-    lexicographic partner order.  r[j] - lam[j] = -h/12 for every j.
+    big = 48 p q; lam[j] = y[j] / big is the leading exponent of the j-th
+    1-point function and r[j] = x[j] / big the exponent of the j-th
+    diagonal entry of rho(T); both follow the lexicographic partner order.
+    r[j] - lam[j] = -h/12 for every j.  The Fraction views lam, r, h and c
+    are computed on first access.
     """
 
     model: object
     label: object
     s: int
     partners: object
-    h_partner: tuple
-    lam: tuple
-    r: tuple
-    h: Fraction
-    c: Fraction
+    big: int
+    y: tuple
+    x: tuple
+
+    @cached_property
+    def lam(self):
+        return tuple(Fraction(v, self.big) for v in self.y)
+
+    @cached_property
+    def r(self):
+        return tuple(Fraction(v, self.big) for v in self.x)
+
+    @cached_property
+    def h(self):
+        return conformal_weight(self.model, self.label.m, self.label.n)
+
+    @cached_property
+    def c(self):
+        return central_charge(self.model)
 
 
 def rep_profile(model, label):
     """Compute the exponent profile of the acting label."""
     partners = self_coupled_partners(model, label)
-    c = central_charge(model)
-    h = conformal_weight(model, label.m, label.n)
-    h_partner = tuple(conformal_weight(model, mj, nj) for mj, nj in partners)
-    lam = tuple(hj - c / 24 for hj in h_partner)
-    r = tuple(l - h / 12 for l in lam)
-    return RepProfile(model, label, len(partners), partners, h_partner, lam, r, h, c)
+    p, q, m, n = model.p, model.q, label.m, label.n
+    two_pq = 2 * p * q
+    y = tuple(12 * (nj * p - mj * q) ** 2 - two_pq for mj, nj in partners)
+    shift = (n * p - m * q) ** 2 - (p - q) ** 2
+    x = tuple(v - shift for v in y)
+    return RepProfile(model, label, len(partners), partners, 48 * p * q, y, x)
 
 
 def _is_prime(n):
@@ -146,37 +170,27 @@ def irreducibility_certificate(profile, cap=SUBSET_CAP):
 
     Returns "irreducible" when no proper nonempty subset S of the r_j has
     12 * sum(S) integral, "inconclusive" otherwise (the criterion is
-    sufficient, not necessary).  The subset search is meet-in-the-middle
-    over integer residues, O(2^(s/2)); dimensions above the cap raise
-    SubsetBlowup.
+    sufficient, not necessary).  Since 12 r_j = x_j / D with D = 4 p q, a
+    subset qualifies when its x_j sum to 0 mod D.  The search is Bellman's
+    subset-sum DP on Z/DZ: a D-bit integer holds the residues of the
+    nonempty subsets of x_1..x_{s-1}, rotated once per element.  A proper
+    subset containing x_s qualifies exactly when its complement, a
+    nonempty subset of x_1..x_{s-1}, sums to sum(x) mod D; so the answer is
+    "inconclusive" iff that set holds 0 or sum(x) mod D.  Dimensions above
+    the cap raise SubsetBlowup.
     """
     s = profile.s
     if s > cap:
         raise SubsetBlowup("dimension %s exceeds the subset cap %s" % (s, cap))
-    if s == 1:
-        return IRREDUCIBLE
-    # 12 r_j = x_j / D on a common denominator D; a subset sum is integral
-    # iff the x_j sum to 0 mod D
-    twelve_r = [12 * rj for rj in profile.r]
-    d = 1
-    for t in twelve_r:
-        d = d * t.denominator // gcd(d, t.denominator)
-    xs = [int(t * d) for t in twelve_r]
-    half = s // 2
-    left, right = xs[:half], xs[half:]
-    right_counts = {}
-    for mask in range(1 << len(right)):
-        res = sum(right[i] for i in range(len(right)) if mask >> i & 1) % d
-        right_counts[res] = right_counts.get(res, 0) + 1
-    matches = 0
-    for mask in range(1 << len(left)):
-        res = sum(left[i] for i in range(len(left)) if mask >> i & 1) % d
-        matches += right_counts.get(-res % d, 0)
-    # discard the empty set, and the full set when its sum is integral
-    matches -= 1
-    if sum(xs) % d == 0:
-        matches -= 1
-    return IRREDUCIBLE if matches == 0 else INCONCLUSIVE
+    d = profile.big // 12
+    mask = (1 << d) - 1
+    reach = 0
+    for v in profile.x[:-1]:
+        v %= d
+        reach |= ((reach << v) | (reach >> (d - v))) & mask | (1 << v)
+    if reach & 1 or reach >> (sum(profile.x) % d) & 1:
+        return INCONCLUSIVE
+    return IRREDUCIBLE
 
 
 @dataclass(frozen=True)

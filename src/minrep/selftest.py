@@ -125,7 +125,7 @@ def suite_ratios(grid=60):
             label = ModuleLabel(p - 6, q - 1)
             checked += 1
             profile = rep_profile(model, label)
-            if all(0 <= l < 1 for l in profile.lam):
+            if all(0 <= y < profile.big for y in profile.y):
                 failures.append("(p-6, q-1) exponents all in [0,1) at (%s,%s)" % (p, q))
     return SuiteResult("ratios", checked, failures)
 

@@ -140,10 +140,11 @@ def low_dim_case(model, label):
     return None
 
 
-def _window_flag(lam):
-    if lam < 0:
+def _window_flag(y, big):
+    # lambda = y / big with big > 0
+    if y < 0:
         return FLAG_NEGATIVE
-    if lam < 1:
+    if y < big:
         return FLAG_UNIT_INTERVAL
     return FLAG_GE_ONE
 
@@ -165,7 +166,8 @@ def space_comparison(profile, certificate=None):
     representations (a negative leading exponent is a raw fact and needs
     no certificate).  For s > 3 only window facts are reported.
     """
-    flags = tuple(_window_flag(l) for l in profile.lam)
+    big = profile.big
+    flags = tuple(_window_flag(y, big) for y in profile.y)
     model, label = profile.model, profile.label
     case = low_dim_case(model, label)
     ratio_check = None
@@ -200,6 +202,6 @@ def ratio_lambda_consistency(model, label):
             "label (%s, %s) is not one of the classified window shapes" % (label.m, label.n)
         )
     profile = rep_profile(model, label)
-    direct = all(0 <= l < 1 for l in profile.lam)
+    direct = all(0 <= y < profile.big for y in profile.y)
     member = ratio_in_window(case, Fraction(model.q, model.p))
     return direct == member

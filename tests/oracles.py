@@ -30,22 +30,53 @@ def brute_self_coupled(p, q, m, n):
     return found
 
 
-def fraction_level(p, q, m, n):
-    """Level of rho_{m,n}: the lcm of the reduced denominators of the r_j.
+def kac_exponents(p, q, m, n):
+    """Exponent data of the acting label (m, n), straight from the Kac formula.
 
-    The partners are the classes found by brute_self_coupled, and every
-    exponent comes from the Kac formula as an exact Fraction:
-    r = h_{a,b} - c/24 - h_{m,n}/12 with h_{a,b} = ((bp - aq)^2 - (p-q)^2)
-    / (4pq) and c = 1 - 6(p-q)^2 / (pq).
+    Returns {key: (h, lam, r)} over the partner classes found by
+    brute_self_coupled, with exact Fractions: h = h_{a,b} =
+    ((bp - aq)^2 - (p-q)^2) / (4pq), lam = h - c/24 with
+    c = 1 - 6(p-q)^2 / (pq), and r = lam - h_{m,n}/12.  h_{a,b} is invariant
+    under the flip, so the values do not depend on the class representative.
     """
     def weight(a, b):
         return Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q)
 
-    shift = (1 - Fraction(6 * (p - q) ** 2, p * q)) / 24 + weight(m, n) / 12
-    out = 1
-    for a, b in brute_self_coupled(p, q, m, n):
-        out = lcm(out, (weight(a, b) - shift).denominator)
+    c = 1 - Fraction(6 * (p - q) ** 2, p * q)
+    h_mn = weight(m, n)
+    out = {}
+    for key in brute_self_coupled(p, q, m, n):
+        h = weight(*key)
+        lam = h - c / 24
+        out[key] = (h, lam, lam - h_mn / 12)
     return out
+
+
+def fraction_level(p, q, m, n):
+    """Level of rho_{m,n}: the lcm of the reduced denominators of the r_j,
+    with every r_j an exact Fraction from kac_exponents."""
+    out = 1
+    for _, _, r in kac_exponents(p, q, m, n).values():
+        out = lcm(out, r.denominator)
+    return out
+
+
+def brute_certificate(rs):
+    """"inconclusive" when some proper nonempty subset of the exponents rs
+    has 12 * sum integral, "irreducible" otherwise, by listing all subsets.
+
+    With d the lcm of the denominators of the 12 r, sums[mask] is d times
+    12 times the sum of the rs picked by the bits of mask, so sums[0] is the
+    empty set and sums[-1] the full one.
+    """
+    d = lcm(*((12 * r).denominator for r in rs))
+    sums = [0]
+    for r in rs:
+        v = int(12 * r * d)
+        sums += [t + v for t in sums]
+    if any(t % d == 0 for t in sums[1:-1]):
+        return "inconclusive"
+    return "irreducible"
 
 
 def partner_canonical_keys(p, q, pairs):

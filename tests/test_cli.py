@@ -1,5 +1,7 @@
 """Analysis records, serialization round trips and the CLI surface."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -126,6 +128,63 @@ def test_cli_scan_filter_level(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows and all(r["level"] == 48 for r in rows)
+
+
+def test_cli_scan_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code = cli.main(["scan", "--p-max", "5", "--q-max", "4", "--jobs", jobs])
+        assert code == cli.EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable, chunksize=None):
+            return [func(x) for x in iterable]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.main(["scan", "--p-max", "20", "--q-max", "20", "--jobs", "1000",
+                     "--filter", "dim=1"]) == 0
+    clamped = capsys.readouterr().out
+    # (3, 2) has one cell and (5, 2) two, so three cells in all
+    assert cli.main(["scan", "--p-max", "5", "--q-max", "2", "--jobs", "8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    # an unknown CPU count means one process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.main(["scan", "--p-max", "5", "--q-max", "2", "--jobs", "8"]) == 0
+    capsys.readouterr()
+    assert sizes == [4, 3]
+    assert cli.main(["scan", "--p-max", "20", "--q-max", "20", "--jobs", "1",
+                     "--filter", "dim=1"]) == 0
+    assert capsys.readouterr().out == clamped
+
+
+def test_tracer_sites_resolve():
+    # the benchmark's tracer replaces these bindings by name; a binding
+    # dropped from a module would otherwise only fail under --trace 1
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SITES
+    for module_name, attr, _ in tracer.SITES:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (
+            module_name, attr)
 
 
 def test_cli_qseries_annihilation(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from minrep import (MinimalModel, ModuleLabel, canonical_label, central_charge,
                     conformal_weight, list_modules, validate_model)
 from minrep.core import models
-from minrep.errors import BothEven, NotCoprime, OutOfRange
+from minrep.errors import BothEven, MinrepError, NotAnInteger, NotCoprime, OutOfRange
 
 
 def test_validate_model_keeps_convention():
@@ -29,6 +29,19 @@ def test_validate_model_rejections():
         validate_model(1, 5)
     with pytest.raises(OutOfRange):
         validate_model(5, 0)
+
+
+def test_non_integer_indices_are_rejected():
+    for p, q in [(5.0, 2), ("5", 2), (True, 3), (5, 2.0), (5, None)]:
+        with pytest.raises(NotAnInteger):
+            validate_model(p, q)
+    model = validate_model(5, 2)
+    for m, n in [(1.0, 1), (True, 1), (1, "1"), (3, False)]:
+        with pytest.raises(NotAnInteger):
+            canonical_label(model, m, n)
+        with pytest.raises(NotAnInteger):
+            conformal_weight(model, m, n)
+    assert issubclass(NotAnInteger, MinrepError)
 
 
 def test_central_charge_values():

@@ -5,12 +5,14 @@ from math import gcd
 
 import pytest
 
-from minrep import (ModuleLabel, irreducibility_certificate,
+from minrep import (ModuleLabel, analysis, irreducibility_certificate,
                     minimal_weight_identity, minimal_weight_profile,
                     prime_case_closed_forms, rep_profile, validate_model)
+from minrep.core import list_modules, models
 from minrep.errors import (IrreducibilityUnknown, NotPrimeCase,
                            OutOfScopeDimension, SubsetBlowup)
-from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE
+from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, RepProfile
+from oracles import brute_certificate, kac_exponents
 
 
 def F(a, b=1):
@@ -144,19 +146,53 @@ def test_irreducibility_examples():
     assert irreducibility_certificate(profile) == INCONCLUSIVE
 
 
-def test_irreducibility_brute_force_agreement():
-    # meet-in-the-middle agrees with direct subset enumeration
-    from itertools import combinations
-    for p, q, m, n in [(3, 4, 1, 1), (5, 2, 1, 1), (9, 2, 1, 1), (5, 7, 1, 3),
-                       (5, 4, 1, 1), (7, 2, 1, 1), (3, 8, 1, 1)]:
-        profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
-        bad = False
-        for size in range(1, profile.s):
-            for subset in combinations(profile.r, size):
-                if (12 * sum(subset)).denominator == 1:
-                    bad = True
-        expected = INCONCLUSIVE if bad else IRREDUCIBLE
-        assert irreducibility_certificate(profile) == expected
+def test_profile_and_certificate_match_kac_oracle():
+    # every acting label with s <= 12 at p, q <= 14: lam, r and the partner
+    # weights against the Kac formula, the residue-bitset certificate
+    # against listing all subsets, and the record strings against both
+    seen = set()
+    certificates = set()
+    for model in models(14, 14):
+        p, q = model.p, model.q
+        for label in list_modules(model):
+            m, n = label.m, label.n
+            if not label.is_acting or (p - m) * (q - n) // 2 > 12:
+                continue
+            seen.add((p, q, m, n))
+            profile = rep_profile(model, label)
+            assert profile.big == 48 * p * q
+            oracle = kac_exponents(p, q, m, n)
+            keys = [min((a, b), (p - a, q - b)) for a, b in profile.partners]
+            assert sorted(keys) == sorted(oracle)
+            expected = [oracle[key] for key in keys]
+            assert profile.lam == tuple(lam for _, lam, _ in expected)
+            assert profile.r == tuple(r for _, _, r in expected)
+            cert = brute_certificate(profile.r)
+            assert irreducibility_certificate(profile) == cert, (p, q, m, n)
+            certificates.add(cert)
+            record = analysis.analyze(p, q, m, n)
+            assert [x["h"] for x in record["partners"]] == [
+                analysis.frac_str(h) for h, _, _ in expected]
+            assert record["lambda"] == [analysis.frac_str(lam) for _, lam, _ in expected]
+            assert record["r"] == [analysis.frac_str(r) for _, _, r in expected]
+            assert record["irreducibility"] == cert
+    assert len(seen) == 537
+    assert certificates == {IRREDUCIBLE, INCONCLUSIVE}
+    # hand-picked labels with s = 2 .. 8, (9, 2, 1, 1) having r_2 = 1/12
+    assert {(3, 4, 1, 1), (5, 2, 1, 1), (9, 2, 1, 1), (5, 7, 1, 3),
+            (5, 4, 1, 1), (7, 2, 1, 1), (3, 8, 1, 1)} <= seen
+
+
+def test_certificate_matches_subset_listing_on_all_small_residue_tuples():
+    # big = 72 puts 12 r_j = x_j / 6; every tuple of up to four x_j in
+    # [-2, 7).  Real profiles up to p, q <= 40 never need the sum(x)
+    # complement test; tuples such as (1, 6), where only {x_s} qualifies, do.
+    from itertools import product
+    for s in range(1, 5):
+        for xs in product(range(-2, 7), repeat=s):
+            profile = RepProfile(None, None, s, None, 72, None, xs)
+            expected = brute_certificate([F(x, 72) for x in xs])
+            assert irreducibility_certificate(profile) == expected, xs
 
 
 def test_irreducibility_cap():

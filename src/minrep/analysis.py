@@ -83,7 +83,8 @@ def analyze(p, q, m, n):
     record["lambda"] = [ratio_str(yj, big) for yj in profile.y]
     record["r"] = [ratio_str(xj, big) for xj in profile.x]
     record["level"] = verdict.details["level"]
-    record["level_factorization"] = verdict.details["level_factorization"]
+    factorization = verdict.details["level_factorization"]
+    record["level_factorization"] = [list(f) for f in factorization]
     record["irreducibility"] = cert
 
     if profile.s <= 3 and cert == IRREDUCIBLE:

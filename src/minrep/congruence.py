@@ -386,7 +386,9 @@ def congruence_verdict(model, label, profile=None):
     arithmetic prime-power criteria.  Whenever one of the arithmetic
     criteria fires, the certificate must fire as well (its proof is the
     certificate), so they never decide a verdict and are only listed in
-    agreeing_criteria.  This and the two other consistency invariants are
+    agreeing_criteria.  This and the three other consistency invariants
+    (no congruence classification or vacuum verdict against the
+    certificate, no low-dimension level other than the computed one) are
     checked explicitly and raise AssertionError, also under python -O.
     """
     if profile is None:
@@ -425,6 +427,9 @@ def congruence_verdict(model, label, profile=None):
             if low.status == CONGRUENCE and cert is not None:
                 raise AssertionError(
                     "congruence classification contradicts the dimension bound")
+            if low.details.get("level", lv.N) != lv.N:
+                raise AssertionError(
+                    "low-dimension classification contradicts the computed level")
             details = dict(base)
             details.update(low.details)
             return CongruenceVerdict(low.status, low.criterion, details)

@@ -172,25 +172,36 @@ def irreducibility_certificate(profile, cap=SUBSET_CAP):
     12 * sum(S) integral, "inconclusive" otherwise (the criterion is
     sufficient, not necessary).  Since 12 r_j = x_j / D with D = 4 p q, a
     subset qualifies when its x_j sum to 0 mod D.  The search is Bellman's
-    subset-sum DP on Z/DZ: a D-bit integer holds the residues of the
-    nonempty subsets of x_1..x_{s-1}, rotated once per element.  A proper
-    subset containing x_s qualifies exactly when its complement, a
-    nonempty subset of x_1..x_{s-1}, sums to sum(x) mod D; so the answer is
-    "inconclusive" iff that set holds 0 or sum(x) mod D.  Dimensions above
-    the cap raise SubsetBlowup.
+    subset-sum DP on Z/DZ over the residues of the nonempty subsets of
+    x_1..x_{s-1}, adding one element per step.  A proper subset containing
+    x_s qualifies exactly when its complement, a nonempty subset of
+    x_1..x_{s-1}, sums to sum(x) mod D; so the answer is "inconclusive" iff
+    the reached residues include 0 or sum(x) mod D.
+
+    There are at most min(2^(s-1), D) such residues, and the store follows
+    the smaller bound: a D-bit integer, rotated once per element, when
+    D <= 2^s, and a set of residues otherwise, so time and memory never
+    grow with D beyond 2^s.  Dimensions above the cap raise SubsetBlowup.
     """
     s = profile.s
     if s > cap:
         raise SubsetBlowup("dimension %s exceeds the subset cap %s" % (s, cap))
     d = profile.big // 12
-    mask = (1 << d) - 1
-    reach = 0
-    for v in profile.x[:-1]:
-        v %= d
-        reach |= ((reach << v) | (reach >> (d - v))) & mask | (1 << v)
-    if reach & 1 or reach >> (sum(profile.x) % d) & 1:
-        return INCONCLUSIVE
-    return IRREDUCIBLE
+    xs = [v % d for v in profile.x[:-1]]
+    target = sum(profile.x) % d
+    if d > 1 << s:
+        reach = set()
+        for v in xs:
+            reach |= {(r + v) % d for r in reach}
+            reach.add(v)
+        hit = 0 in reach or target in reach
+    else:
+        mask = (1 << d) - 1
+        reach = 0
+        for v in xs:
+            reach |= ((reach << v) | (reach >> (d - v))) & mask | (1 << v)
+        hit = reach & 1 or reach >> target & 1
+    return INCONCLUSIVE if hit else IRREDUCIBLE
 
 
 @dataclass(frozen=True)

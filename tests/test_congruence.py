@@ -234,6 +234,23 @@ def test_verdict_unknown_when_nothing_fires():
     assert v.criterion != "none" or v.status == UNKNOWN
 
 
+def test_low_dim_level_must_match_computed_level(monkeypatch):
+    # the dim2-p5 closed form states level 60; it must agree with the
+    # computed level on every p = 5 label of that shape, and a differing
+    # closed-form level must raise instead of replacing the computed one
+    for q in range(2, 200, 2):
+        if q % 5 == 0:
+            continue
+        v = congruence_verdict(validate_model(5, q), ModuleLabel(1, q - 1))
+        assert v.criterion == DIM2_P5
+        assert v.details["level"] == fast_level(5, q, 1, q - 1) == 60
+    import minrep.congruence as c
+    monkeypatch.setattr(c, "classify_low_dim", lambda model, label: c.CongruenceVerdict(
+        CONGRUENCE, DIM2_P5, {"level": 61}))
+    with pytest.raises(AssertionError, match="contradicts the computed level"):
+        congruence_verdict(validate_model(5, 2), ModuleLabel(1, 1))
+
+
 def test_verdict_invariant_survives_python_O():
     # on (5, 7), (1, 5) the dimension bound is idle (s = 4, N = 40); forcing
     # an arithmetic criterion to fire there must raise, even under -O

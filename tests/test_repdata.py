@@ -1,5 +1,10 @@
 """Exponent profiles, closed forms, minimal weight data, irreducibility."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -187,12 +192,47 @@ def test_certificate_matches_subset_listing_on_all_small_residue_tuples():
     # big = 72 puts 12 r_j = x_j / 6; every tuple of up to four x_j in
     # [-2, 7).  Real profiles up to p, q <= 40 never need the sum(x)
     # complement test; tuples such as (1, 6), where only {x_s} qualifies, do.
+    # D = 6 takes the bitset store from s = 3 on, D = 40 keeps every s <= 4
+    # on the residue set, so both stores see every tuple.
     from itertools import product
-    for s in range(1, 5):
-        for xs in product(range(-2, 7), repeat=s):
-            profile = RepProfile(None, None, s, None, 72, None, xs)
-            expected = brute_certificate([F(x, 72) for x in xs])
-            assert irreducibility_certificate(profile) == expected, xs
+    for big in (72, 480):
+        for s in range(1, 5):
+            for xs in product(range(-2, 7), repeat=s):
+                profile = RepProfile(None, None, s, None, big, None, xs)
+                expected = brute_certificate([F(x, big) for x in xs])
+                assert irreducibility_certificate(profile) == expected, (big, xs)
+
+
+def test_small_dimension_analysis_at_large_indices_stays_small():
+    # at p, q ~ 10^5 the modulus D = 4pq is ~4 * 10^10, so a D-bit store
+    # would need gigabytes; under a 256 MB address-space cap every small-s
+    # label must still be analyzed, and its certificate must match listing
+    # all subsets of its r_j
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    script = textwrap.dedent("""
+        import json, resource
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+        from minrep.analysis import analyze
+        p, q = 100003, 100000
+        out = []
+        for a in range(1, 5):
+            for b in (1, 3, 5, 7):
+                if a * b <= 12:
+                    out.append(analyze(p, q, p - 2 * a, q - b))
+        print(json.dumps(out))
+        """)
+    run = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    records = json.loads(run.stdout)
+    assert sorted(rec["s"] for rec in records) == [1, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12]
+    certificates = set()
+    for rec in records:
+        cert = brute_certificate([Fraction(r) for r in rec["r"]])
+        assert rec["irreducibility"] == cert, (rec["m"], rec["n"])
+        certificates.add(cert)
+    assert certificates == {IRREDUCIBLE, INCONCLUSIVE}
 
 
 def test_irreducibility_cap():

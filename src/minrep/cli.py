@@ -83,7 +83,7 @@ def main(argv=None):
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "scan":
-            return cmd_scan(args, parser)
+            return cmd_scan(args)
         if args.command == "qseries":
             return cmd_qseries(args)
         return cmd_selftest(args)
@@ -113,7 +113,7 @@ def _scan_cell(cell):
     return analysis.analyze(p, q, m, n)
 
 
-def _parse_filter(spec, parser):
+def _parse_filter(spec):
     if spec is None:
         return lambda record: True
     match = re.fullmatch(r"(verdict|dim|level)=([a-z0-9]+)", spec)
@@ -130,12 +130,12 @@ def _parse_filter(spec, parser):
     return lambda r: r.get("level") == number
 
 
-def cmd_scan(args, parser):
+def cmd_scan(args):
     if args.p_max < 2 or args.q_max < 2:
         raise _UsageError("scan bounds must be >= 2")
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1, got %s" % args.jobs)
-    keep = _parse_filter(args.filter, parser)
+    keep = _parse_filter(args.filter)
     cells = [
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)

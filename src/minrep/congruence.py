@@ -30,11 +30,13 @@ and q are powers of primes exceeding 3.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import DimensionTooLarge, HypothesisNotMet, NotPrime
+from .errors import DimensionTooLarge, HypothesisNotMet, NotPrime, OutOfRange
 from .fusion import rep_dimension
 from .repdata import _is_prime, rep_profile
+from .spaces import DIM1, DIM2_I, DIM2_II, DIM3_I, low_dim_case
 
 CONGRUENCE = "congruence"
 NONCONGRUENCE = "noncongruence"
@@ -77,7 +79,8 @@ class Level:
 
 def factorize(n):
     """Prime factorization by trial division, as a tuple of (prime, exp)."""
-    assert n >= 1
+    if n < 1:
+        raise OutOfRange("can only factorize n >= 1, got %s" % n)
     out = []
     for r in range(2, isqrt(n) + 1):
         if r * r > n:
@@ -135,8 +138,9 @@ def level(profile):
 
 
 def nu(r, x):
-    """r-adic valuation of the nonzero integer x."""
-    assert x != 0
+    """r-adic valuation of the nonzero integer x, for r >= 2."""
+    if x == 0 or r < 2:
+        raise OutOfRange("nu(r, x) needs r >= 2 and x != 0, got (%s, %s)" % (r, x))
     t = 0
     while x % r == 0:
         x //= r
@@ -184,13 +188,17 @@ class NWCertificate:
     dimension: int
 
 
-def nw_noncongruence_certificate(profile):
-    """The dimension-vs-level certificate, or None when the bound is idle."""
+def _nw_bound(profile):
+    """(level, Nobs-Wolfart bound, certificate or None when s >= bound)."""
     lv = level(profile)
     bound = min_congruence_dim(lv)
-    if profile.s < bound:
-        return NWCertificate(lv, bound, profile.s)
-    return None
+    cert = NWCertificate(lv, bound, profile.s) if profile.s < bound else None
+    return lv, bound, cert
+
+
+def nw_noncongruence_certificate(profile):
+    """The dimension-vs-level certificate, or None when the bound is idle."""
+    return _nw_bound(profile)[2]
 
 
 @dataclass(frozen=True)
@@ -233,12 +241,16 @@ def valuation_check(model, label, r, profile=None):
     return ValuationReport(r, side, lv.nu(r), nu_model)
 
 
-def prime_power(n):
-    """(r, a) with n = r^a and r prime, or None."""
-    for r, t in factorize(n):
-        if r ** t == n:
-            return (r, t)
-    return None
+@lru_cache(maxsize=8)
+def _large_prime_powers(model):
+    """((r, a) or None, (s, b) or None) for p = r^a and q = s^b, keeping
+    only primes r, s > 3.  Cached so that a scan factorizes p and q once
+    per model, not once per label and criterion."""
+    out = []
+    for x in (model.p, model.q):
+        factors = factorize(x)
+        out.append(factors[0] if len(factors) == 1 and factors[0][0] > 3 else None)
+    return tuple(out)
 
 
 def _ceil_power(r, a):
@@ -270,10 +282,10 @@ def prime_power_criterion(model, label):
     failure.
     """
     p, q, m, n = model.p, model.q, label.m, label.n
-    pp, qq = prime_power(p), prime_power(q)
-    if pp is None or pp[0] <= 3:
+    pp, qq = _large_prime_powers(model)
+    if pp is None:
         return CriterionResult(False, {"reason": "p is not a power of a prime > 3"})
-    if qq is None or qq[0] <= 3:
+    if qq is None:
         return CriterionResult(False, {"reason": "q is not a power of a prime > 3"})
     alpha = _ceil_power(*pp)
     beta = _ceil_power(*qq)
@@ -295,32 +307,31 @@ def boundary_prime_power_criterion(model, label):
 
     Case "i": m = p - 2 and q = s^b a power of a prime s > 3 with
     beta < n <= q - 4.  Case "ii": n = q - 2 and p = r^a a power of a
-    prime r > 3 with alpha < m <= p - 4.  Returns (holds, case) with case
-    in {"i", "ii", None}.
+    prime r > 3 with alpha < m <= p - 4.  Returns a CriterionResult whose
+    trace holds the case ("i" or "ii") when it fires, else a reason.
     """
     p, q, m, n = model.p, model.q, label.m, label.n
-    if m == p - 2:
-        qq = prime_power(q)
-        if qq is not None and qq[0] > 3:
-            beta = _ceil_power(*qq)
-            if beta < n <= q - 4:
-                return True, "i"
-    if n == q - 2:
-        pp = prime_power(p)
-        if pp is not None and pp[0] > 3:
-            alpha = _ceil_power(*pp)
-            if alpha < m <= p - 4:
-                return True, "ii"
-    return False, None
+    pp, qq = _large_prime_powers(model)
+    if m == p - 2 and qq is not None and _ceil_power(*qq) < n <= q - 4:
+        return CriterionResult(True, {"case": "i"})
+    if n == q - 2 and pp is not None and _ceil_power(*pp) < m <= p - 4:
+        return CriterionResult(True, {"case": "ii"})
+    if m != p - 2 and n != q - 2:
+        return CriterionResult(False, {"reason": "neither m = p-2 nor n = q-2"})
+    return CriterionResult(False, {"reason": "no boundary case meets its prime-power window"})
 
 
 def distinct_primes_criterion(model, label):
     """Noncongruence for p, q distinct primes > 3 and (m, n) outside the
-    four exceptional pairs (1,1), (1,q-2), (p-2,1), (p-2,q-2)."""
+    four exceptional pairs (1,1), (1,q-2), (p-2,1), (p-2,q-2).  Returns a
+    CriterionResult; p != q always holds, since p and q are coprime."""
     p, q, m, n = model.p, model.q, label.m, label.n
-    if not (_is_prime(p) and _is_prime(q) and p > 3 and q > 3 and p != q):
-        return False
-    return (m, n) not in {(1, 1), (1, q - 2), (p - 2, 1), (p - 2, q - 2)}
+    pp, qq = _large_prime_powers(model)
+    if pp is None or qq is None or pp[1] != 1 or qq[1] != 1:
+        return CriterionResult(False, {"reason": "p and q are not both primes > 3"})
+    if (m, n) in {(1, 1), (1, q - 2), (p - 2, 1), (p - 2, q - 2)}:
+        return CriterionResult(False, {"reason": "(m, n) is an exceptional pair"})
+    return CriterionResult(True)
 
 
 @dataclass(frozen=True)
@@ -344,36 +355,34 @@ def classify_low_dim(model, label):
         2^6 3^3 5^2 7^2, undetermined otherwise.
     s = 3, (p-6, q-1): infinite image, noncongruence.
     """
-    p, q, m, n = model.p, model.q, label.m, label.n
     s = rep_dimension(model, label)
     if s > 3:
         raise DimensionTooLarge("low-dimension classification needs s <= 3, got %s" % s)
-    if s == 1:
+    case = low_dim_case(model, label)
+    if case == DIM1:
         return CongruenceVerdict(CONGRUENCE, ONE_DIMENSIONAL, {"rho_T": "1"})
-    if s == 2:
-        if (m, n) == (p - 2, q - 2):
-            details = {"r": ["5/24", "-1/24"]}
-            if p < 5 or q < 5:
-                # the classification is stated for p, q >= 5; the closed
-                # forms still apply to this shape
-                details["outside_stated_range"] = True
-            return CongruenceVerdict(CONGRUENCE, DIM2_CONSTANT_REP, details)
-        assert (m, n) == (p - 4, q - 1)
-        if p == 5:
+    if case == DIM2_I:
+        details = {"r": ["5/24", "-1/24"]}
+        if model.p < 5 or model.q < 5:
+            # the classification is stated for p, q >= 5; the closed
+            # forms still apply to this shape
+            details["outside_stated_range"] = True
+        return CongruenceVerdict(CONGRUENCE, DIM2_CONSTANT_REP, details)
+    if case == DIM2_II:
+        if model.p == 5:
             return CongruenceVerdict(CONGRUENCE, DIM2_P5, {"level": 60})
         return CongruenceVerdict(NONCONGRUENCE, DIM2_INFINITE_IMAGE, {})
-    assert s == 3
-    if (m, n) == (p - 2, q - 3):
-        if DIM3_DIVISOR_BOUND % q != 0:
+    if case == DIM3_I:
+        if DIM3_DIVISOR_BOUND % model.q != 0:
             return CongruenceVerdict(
                 NONCONGRUENCE, DIM3_LEVEL_DIVISOR,
-                {"q": q, "divisor_bound": DIM3_DIVISOR_BOUND},
+                {"q": model.q, "divisor_bound": DIM3_DIVISOR_BOUND},
             )
         return CongruenceVerdict(
             UNKNOWN, DIM3_UNDETERMINED,
             {"note": "finite image; congruence status undetermined"},
         )
-    assert (m, n) == (p - 6, q - 1)
+    # an acting label with s <= 3 has a tag, so the one left is DIM3_II
     return CongruenceVerdict(NONCONGRUENCE, DIM3_INFINITE_IMAGE, {})
 
 
@@ -394,24 +403,17 @@ def congruence_verdict(model, label, profile=None):
     if profile is None:
         profile = rep_profile(model, label)
     s = profile.s
-    lv = level(profile)
-    bound = min_congruence_dim(lv)
-    cert = NWCertificate(lv, bound, s) if s < bound else None
+    lv, bound, cert = _nw_bound(profile)
 
-    ppc = prime_power_criterion(model, label)
-    bpc, _ = boundary_prime_power_criterion(model, label)
-    dpc = distinct_primes_criterion(model, label)
-    agreeing = []
-    if cert is not None:
-        agreeing.append(NW_DIMENSION_BOUND)
-    if ppc:
-        agreeing.append(PRIME_POWER_BOUND)
-    if bpc:
-        agreeing.append(BOUNDARY_PRIME_POWER)
-    if dpc:
-        agreeing.append(DISTINCT_PRIMES)
-    if (ppc or bpc or dpc) and cert is None:
+    # the criteria are looked up at call time, so a patched one takes effect
+    arithmetic = [tag for tag, criterion in (
+        (PRIME_POWER_BOUND, prime_power_criterion),
+        (BOUNDARY_PRIME_POWER, boundary_prime_power_criterion),
+        (DISTINCT_PRIMES, distinct_primes_criterion),
+    ) if criterion(model, label)]
+    if arithmetic and cert is None:
         raise AssertionError("arithmetic criterion fired without the dimension bound")
+    agreeing = ([NW_DIMENSION_BOUND] if cert is not None else []) + arithmetic
 
     base = {
         "s": s,

@@ -11,9 +11,10 @@ from fractions import Fraction
 from . import qseries
 from .congruence import factorize, fast_level, nu
 from .core import ModuleLabel, list_modules, models
+from .fusion import rep_dimension
 from .repdata import (_is_prime, minimal_weight_identity,
                       prime_case_closed_forms, rep_profile)
-from .spaces import ratio_lambda_consistency
+from .spaces import DIM3_II, SHAPES, ratio_lambda_consistency
 
 #: frozen constants of the two derivative identities on the Eisenstein
 #: generators, in the G-normalisation used here; both were derived by an
@@ -48,7 +49,7 @@ def suite_monic(grid=50):
         for label in list_modules(model):
             if not label.is_acting:
                 continue
-            s = (p - label.m) * (q - label.n) // 2
+            s = rep_dimension(model, label)
             if not (s == 1 or _is_prime(s)):
                 continue
             profile = rep_profile(model, label)
@@ -86,7 +87,7 @@ def suite_lemmas(grid=60):
             level_n = fast_level(p, q, m, n)
             for r, t in wanted:
                 checked += 1
-                seen = nu(r, level_n) if level_n % r == 0 else 0
+                seen = nu(r, level_n)
                 if seen != t:
                     failures.append(
                         "nu_%s mismatch at (%s,%s,%s,%s): N=%s has %s, expected %s"
@@ -105,28 +106,17 @@ def suite_ratios(grid=60):
     failures = []
     for model in models(grid, grid):
         p, q = model.p, model.q
-        shapes = []
-        if q % 2 == 0:
-            shapes.append((p - 2, q - 1))
-            if p >= 5:
-                shapes.append((p - 4, q - 1))
-            if q >= 4:
-                shapes.append((p - 2, q - 3))
-        else:
-            if q >= 3:
-                shapes.append((p - 2, q - 2))
-        for m, n in shapes:
-            if m < 1 or n < 1:
+        for case, (dm, dn) in SHAPES.items():
+            label = ModuleLabel(p - dm, q - dn)
+            if label.m < 1 or label.n < 1 or not label.is_acting:
                 continue
             checked += 1
-            if not ratio_lambda_consistency(model, ModuleLabel(m, n)):
-                failures.append("window mismatch at (%s,%s,%s,%s)" % (p, q, m, n))
-        if q % 2 == 0 and p >= 7:
-            label = ModuleLabel(p - 6, q - 1)
-            checked += 1
-            profile = rep_profile(model, label)
-            if all(0 <= y < profile.big for y in profile.y):
-                failures.append("(p-6, q-1) exponents all in [0,1) at (%s,%s)" % (p, q))
+            if case == DIM3_II:
+                profile = rep_profile(model, label)
+                if all(0 <= y < profile.big for y in profile.y):
+                    failures.append("(p-6, q-1) exponents all in [0,1) at (%s,%s)" % (p, q))
+            elif not ratio_lambda_consistency(model, label):
+                failures.append("window mismatch at (%s,%s,%s,%s)" % (p, q, label.m, label.n))
     return SuiteResult("ratios", checked, failures)
 
 

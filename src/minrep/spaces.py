@@ -48,6 +48,17 @@ DIM2_II = "d2ii"
 DIM3_I = "d3i"
 DIM3_II = "d3ii"
 
+#: every acting label of dimension s <= 3, by tag: (p - m, q - n).  Since
+#: s = (p - m)(q - n)/2 with p - m even, these five gaps are all of them.
+SHAPES = {
+    DIM1: (2, 1),
+    DIM2_I: (2, 2),
+    DIM2_II: (4, 1),
+    DIM3_I: (2, 3),
+    DIM3_II: (6, 1),
+}
+_SHAPE_BY_GAP = {gap: tag for tag, gap in SHAPES.items()}
+
 FLAG_NEGATIVE = "negative"
 FLAG_UNIT_INTERVAL = "unit-interval"
 FLAG_GE_ONE = "ge-one"
@@ -124,20 +135,7 @@ def ratio_in_window(case, ratio):
 
 def low_dim_case(model, label):
     """Shape tag of a label among the classified s <= 3 families, or None."""
-    p, q, m, n = model.p, model.q, label.m, label.n
-    if m == p - 2:
-        if n == q - 1:
-            return DIM1
-        if n == q - 2:
-            return DIM2_I
-        if n == q - 3:
-            return DIM3_I
-    if n == q - 1:
-        if m == p - 4:
-            return DIM2_II
-        if m == p - 6:
-            return DIM3_II
-    return None
+    return _SHAPE_BY_GAP.get((model.p - label.m, model.q - label.n))
 
 
 def _window_flag(y, big):

@@ -194,7 +194,7 @@ def test_criterion_09_criterion_consistency():
             checked += 1
             if prime_power_criterion(model, label).holds and not cert_fires:
                 failures.append(("prime-power", p, q, m, n))
-            if boundary_prime_power_criterion(model, label)[0] and not cert_fires:
+            if boundary_prime_power_criterion(model, label).holds and not cert_fires:
                 failures.append(("boundary", p, q, m, n))
             if distinct_primes_criterion(model, label) and not cert_fires:
                 failures.append(("distinct", p, q, m, n))

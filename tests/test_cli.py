@@ -282,3 +282,18 @@ def test_cli_import_leaves_numpy_out():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_scan_identical_under_python_O():
+    # python -O strips asserts; no verdict may depend on one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    outputs = []
+    for flags in ([], ["-O"]):
+        outputs.append(subprocess.run(
+            [sys.executable, *flags, "-m", "minrep.cli", "scan", "--p-max", "10",
+             "--q-max", "10"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
+            check=True,
+        ).stdout)
+    assert outputs[0].count(b"\n") > 100
+    assert outputs[0] == outputs[1]

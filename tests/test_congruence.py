@@ -17,13 +17,19 @@ from minrep import (ModuleLabel, boundary_prime_power_criterion,
                     rep_profile, valuation_check, validate_model)
 from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
                                DIM2_CONSTANT_REP, DIM2_INFINITE_IMAGE,
-                               DIM2_P5, DIM3_INFINITE_IMAGE,
+                               DIM2_P5, DIM3_DIVISOR_BOUND, DIM3_INFINITE_IMAGE,
                                DIM3_LEVEL_DIVISOR, DIM3_UNDETERMINED,
                                DISTINCT_PRIMES, NONCONGRUENCE,
                                NW_DIMENSION_BOUND, ONE_DIMENSIONAL, UNKNOWN,
-                               VACUUM, Level, factorize, fast_level)
+                               VACUUM, CriterionResult, Level, factorize,
+                               fast_level, nu)
 from minrep.core import models
-from minrep.errors import DimensionTooLarge, HypothesisNotMet, NotPrime
+from minrep.fusion import rep_dimension
+from minrep.repdata import prime_case_closed_forms
+from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
+                           low_dim_case)
+from minrep.errors import (DimensionTooLarge, HypothesisNotMet, NotPrime,
+                           OutOfRange)
 
 from oracles import fraction_level
 
@@ -137,16 +143,33 @@ def test_prime_power_criterion_examples():
     assert not prime_power_criterion(validate_model(3, 4), ModuleLabel(1, 1)).holds
 
 
+def _fires(result, case):
+    return result.holds and result.trace == {"case": case}
+
+
+def _idle(result, reason):
+    return not result.holds and result.trace == {"reason": reason}
+
+
 def test_boundary_criterion_examples():
     # m = p - 2 with q = 5^2: fires for beta < n <= q - 4
+    window = "no boundary case meets its prime-power window"
     model = validate_model(3, 25)
     for n in range(3, 22, 2):
-        assert boundary_prime_power_criterion(model, ModuleLabel(1, n)) == (True, "i")
-    assert boundary_prime_power_criterion(model, ModuleLabel(1, 1)) == (False, None)
-    assert boundary_prime_power_criterion(model, ModuleLabel(1, 23)) == (False, None)
+        assert _fires(boundary_prime_power_criterion(model, ModuleLabel(1, n)), "i")
+    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(1, 1)), window)
+    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(1, 23)), window)
     # n = q - 2 but m > p - 4 fails
-    assert boundary_prime_power_criterion(validate_model(7, 5), ModuleLabel(5, 3)) == (False, None)
-    assert boundary_prime_power_criterion(validate_model(3, 4), ModuleLabel(1, 3)) == (False, None)
+    assert _idle(boundary_prime_power_criterion(validate_model(7, 5), ModuleLabel(5, 3)), window)
+    assert _idle(boundary_prime_power_criterion(validate_model(3, 4), ModuleLabel(1, 3)), window)
+    # case ii: n = q - 2 with p = 7^2, so alpha = 1 < m <= p - 4
+    model = validate_model(49, 3)
+    assert _fires(boundary_prime_power_criterion(model, ModuleLabel(9, 1)), "ii")
+    assert _fires(boundary_prime_power_criterion(model, ModuleLabel(45, 1)), "ii")
+    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(1, 1)), window)
+    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(47, 1)), window)
+    assert _idle(boundary_prime_power_criterion(validate_model(5, 7), ModuleLabel(1, 3)),
+                 "neither m = p-2 nor n = q-2")
 
 
 def test_distinct_primes_criterion_examples():
@@ -157,6 +180,16 @@ def test_distinct_primes_criterion_examples():
     assert not distinct_primes_criterion(model, ModuleLabel(1, 5))
     assert not distinct_primes_criterion(model, ModuleLabel(3, 1))
     assert not distinct_primes_criterion(validate_model(9, 7), ModuleLabel(1, 3))
+    # the result type and its trace
+    assert distinct_primes_criterion(model, ModuleLabel(1, 3)) == CriterionResult(True)
+    for m, n in [(1, 1), (1, 5), (3, 1), (3, 5)]:
+        assert _idle(distinct_primes_criterion(model, ModuleLabel(m, n)),
+                     "(m, n) is an exceptional pair")
+    not_primes = "p and q are not both primes > 3"
+    # 9 = 3^2, 25 = 5^2 and 3 are all excluded
+    for p, q in [(9, 7), (25, 7), (3, 7), (5, 3)]:
+        assert _idle(distinct_primes_criterion(validate_model(p, q), ModuleLabel(1, 1)),
+                     not_primes)
 
 
 def test_classify_low_dim_examples():
@@ -186,6 +219,67 @@ def test_classify_low_dim_examples():
     assert (v.status, v.criterion) == (NONCONGRUENCE, DIM3_INFINITE_IMAGE)
     with pytest.raises(DimensionTooLarge):
         classify_low_dim(validate_model(5, 7), ModuleLabel(1, 3))
+
+
+def test_shape_table_drives_low_dim_classification():
+    # on every acting label with p, q <= 30: the tag exists exactly when
+    # s <= 3, fixes the classification's criterion and names the same
+    # case as the prime-dimension closed forms
+    expected_case = {DIM1: "coincident", DIM2_I: "i", DIM3_I: "i",
+                     DIM2_II: "ii", DIM3_II: "ii"}
+    tagged = 0
+    for model in models(30, 30):
+        p, q = model.p, model.q
+        for label in list_modules(model):
+            if not label.is_acting:
+                continue
+            tag = low_dim_case(model, label)
+            s = rep_dimension(model, label)
+            assert (tag is not None) == (s <= 3), (p, q, label)
+            if tag is None:
+                continue
+            tagged += 1
+            assert SHAPES[tag] == (p - label.m, q - label.n)
+            criterion = classify_low_dim(model, label).criterion
+            if tag == DIM1:
+                assert criterion == ONE_DIMENSIONAL
+            elif tag == DIM2_I:
+                assert criterion == DIM2_CONSTANT_REP
+            elif tag == DIM2_II:
+                assert criterion == (DIM2_P5 if p == 5 else DIM2_INFINITE_IMAGE)
+            elif tag == DIM3_I:
+                assert criterion == (DIM3_UNDETERMINED if DIM3_DIVISOR_BOUND % q == 0
+                                     else DIM3_LEVEL_DIVISOR)
+            else:
+                assert criterion == DIM3_INFINITE_IMAGE
+            assert prime_case_closed_forms(model, label)[0] == expected_case[tag]
+    assert tagged > 500
+
+
+def test_nu_and_factorize_reject_bad_input_under_python_O():
+    # nu(5, 0) used to loop forever under -O, where its assert vanished,
+    # and factorize(0) returned (), so min_congruence_dim(0) gave 1
+    for call in (lambda: nu(5, 0), lambda: nu(1, 5), lambda: factorize(0),
+                 lambda: min_congruence_dim(0)):
+        with pytest.raises(OutOfRange):
+            call()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    script = textwrap.dedent("""
+        import sys
+        from minrep.congruence import factorize, min_congruence_dim, nu
+        from minrep.errors import OutOfRange
+        print("optimize", sys.flags.optimize)
+        for call in (lambda: nu(5, 0), lambda: factorize(0),
+                     lambda: min_congruence_dim(0)):
+            try:
+                call()
+            except OutOfRange:
+                print("raised")
+        """)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=30,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:4] == ["optimize 1", "raised", "raised", "raised"]
 
 
 def test_congruence_verdict_examples():

@@ -12,8 +12,8 @@ intertwining action; their records keep only the bookkeeping fields and set
 """
 
 import csv
-import io
 import json
+from functools import lru_cache
 from math import gcd
 
 # level stays bound here so that call-site wrappers of analysis.level resolve
@@ -25,6 +25,10 @@ from .repdata import (IRREDUCIBLE, irreducibility_certificate,
 from .spaces import space_comparison
 
 NOT_COMPUTED = "not-computed"
+
+#: models whose string tables are kept; a scan visits the models in order,
+#: so a few suffice, also for pool workers that take interleaved chunks
+_MODEL_TABLES = 4
 
 #: flat column order for CSV output; list-valued fields are ";"-joined
 CSV_COLUMNS = [
@@ -45,6 +49,20 @@ def ratio_str(num, den):
     return "%d/%d" % (num // g, den // g)
 
 
+@lru_cache(maxsize=_MODEL_TABLES)
+def _model_strings(model):
+    """The strings of a record that depend on the model alone.
+
+    Returns (c, h_shift, partners): the rendered central charge, the
+    integer h_shift = 2pq - 12(p - q)^2 with h_j = (y_j + h_shift) / 48pq,
+    and a dict from a partner (m_j, n_j) to its rendered (h_j, lambda_j).
+    analyze fills the dict with the partners it visits; the model's whole
+    box can hold billions of points, so it is never listed up front.
+    """
+    p, q = model.p, model.q
+    return frac_str(central_charge(model)), 2 * p * q - 12 * (p - q) ** 2, {}
+
+
 def analyze(p, q, m, n):
     """Full analysis record for the canonical label of (m, n) in V(p, q).
 
@@ -53,13 +71,14 @@ def analyze(p, q, m, n):
     """
     model = validate_model(p, q)
     label = canonical_label(model, m, n)
+    c, h_shift, partner_strings = _model_strings(model)
     record = {
         "p": model.p,
         "q": model.q,
         "m": label.m,
         "n": label.n,
         "acting": label.is_acting,
-        "c": frac_str(central_charge(model)),
+        "c": c,
         "h": frac_str(conformal_weight(model, label.m, label.n)),
     }
     if not label.is_acting:
@@ -72,15 +91,19 @@ def analyze(p, q, m, n):
         cert = NOT_COMPUTED
     verdict = congruence_verdict(model, label, profile)
     big = profile.big
-    # h_j = lambda_j + c/24 and c/24 = (2pq - 12(p - q)^2) / big
-    h_shift = 2 * model.p * model.q - 12 * (model.p - model.q) ** 2
+    partners = []
+    lam = []
+    for partner, yj in zip(profile.partners, profile.y):
+        strings = partner_strings.get(partner)
+        if strings is None:
+            strings = partner_strings[partner] = (ratio_str(yj + h_shift, big),
+                                                  ratio_str(yj, big))
+        partners.append({"m": partner[0], "n": partner[1], "h": strings[0]})
+        lam.append(strings[1])
 
     record["s"] = profile.s
-    record["partners"] = [
-        {"m": mj, "n": nj, "h": ratio_str(yj + h_shift, big)}
-        for (mj, nj), yj in zip(profile.partners, profile.y)
-    ]
-    record["lambda"] = [ratio_str(yj, big) for yj in profile.y]
+    record["partners"] = partners
+    record["lambda"] = lam
     record["r"] = [ratio_str(xj, big) for xj in profile.x]
     record["level"] = verdict.details["level"]
     factorization = verdict.details["level_factorization"]
@@ -164,10 +187,18 @@ def record_to_csv_row(record):
     return row
 
 
+class _Echo:
+    """File stand-in whose write returns its text, so that a csv writer
+    hands back each line it renders."""
+
+    def write(self, text):
+        return text
+
+
 def records_to_csv(records):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    """CSV lines of the records: the header line, then one line per record
+    as it is drawn from the iterable records."""
+    writer = csv.DictWriter(_Echo(), fieldnames=CSV_COLUMNS, lineterminator="\n")
+    yield writer.writeheader()
     for record in records:
-        writer.writerow(record_to_csv_row(record))
-    return buf.getvalue()
+        yield writer.writerow(record_to_csv_row(record))

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from multiprocessing import Pool
 
 from . import analysis, qseries, selftest
@@ -136,25 +137,54 @@ def cmd_scan(args):
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1, got %s" % args.jobs)
     keep = _parse_filter(args.filter)
-    cells = [
+    cells = (
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)
         for label in list_modules(model)
-    ]
+    )
     # more workers than CPUs or cells only adds start-up cost
-    jobs = min(args.jobs, os.cpu_count() or 1, len(cells))
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    head = list(islice(cells, jobs))
+    jobs = min(jobs, len(head))
+    cells = chain(head, cells)
     if jobs > 1:
         with Pool(jobs) as pool:
-            records = pool.map(_scan_cell, cells, chunksize=64)
+            _write_records(_pool_records(pool, cells), keep, args.format)
     else:
-        records = [_scan_cell(c) for c in cells]
-    records = [r for r in records if keep(r)]
-    if args.format == "jsonl":
-        for record in records:
-            print(analysis.record_to_json(record))
-    else:
-        sys.stdout.write(analysis.records_to_csv(records))
+        _write_records(map(_scan_cell, cells), keep, args.format)
     return EXIT_OK
+
+
+#: cells per pool task, and cells handed to the pool at once
+_CHUNK = 64
+_WINDOW = 8 * _CHUNK
+
+
+def _pool_records(pool, cells):
+    """The records of the cells from the pool, in order.
+
+    Pool.imap reads all of its input at once and queues every record the
+    writer has not yet taken, so a writer slower than the workers would
+    hold a backlog that grows with the grid.  The cells go to the pool a
+    window at a time instead, one window ahead of the writer, so that at
+    most two windows of records are held.
+    """
+    windows = iter(lambda: list(islice(cells, _WINDOW)), [])
+    ahead = iter(())
+    for window in windows:
+        current, ahead = ahead, pool.imap(_scan_cell, window, chunksize=_CHUNK)
+        yield from current
+    yield from ahead
+
+
+def _write_records(records, keep, fmt):
+    """Write each kept record to stdout as it arrives, in arrival order."""
+    records = filter(keep, records)
+    if fmt == "jsonl":
+        lines = (analysis.record_to_json(record) + "\n" for record in records)
+    else:
+        lines = analysis.records_to_csv(records)
+    sys.stdout.writelines(lines)
 
 
 _FACTOR_RE = re.compile(r"(?:(\d+(?:/\d+)?)|(G4|G6|D)(?:\^(\d+))?)$")

@@ -68,7 +68,8 @@ def validate_model(p, q):
         raise NotCoprime("(%s, %s) have common factor %s" % (p, q, gcd(p, q)))
     if p % 2 == 0:
         p, q = q, p
-    assert p % 2 == 1 and p >= 3
+    if p % 2 == 0 or p < 3:
+        raise AssertionError("(%s, %s) left without an odd p >= 3" % (p, q))
     return MinimalModel(p, q)
 
 
@@ -119,7 +120,8 @@ def list_modules(model):
     """
     p, q = model.p, model.q
     labels = [ModuleLabel(m, n) for m in range(1, p, 2) for n in range(1, q)]
-    assert len(labels) == (p - 1) * (q - 1) // 2
+    if len(labels) != (p - 1) * (q - 1) // 2:
+        raise AssertionError("%d canonical labels for (%s, %s)" % (len(labels), p, q))
     return labels
 
 

@@ -134,7 +134,9 @@ def self_coupled_partners(model, label):
         for mj in range((p + 1) // 2, p - (m + 1) // 2 + 1)
         for nj in range((n + 1) // 2, q - (n + 1) // 2 + 1)
     )
-    assert len(pairs) == (p - m) * (q - n) // 2
+    if len(pairs) != (p - m) * (q - n) // 2:
+        raise AssertionError("%d partners for the dimension (p - m)(q - n)/2 of (%s, %s)"
+                             % (len(pairs), m, n))
     return PartnerSet(label, pairs)
 
 

@@ -167,12 +167,6 @@ class QSeries:
             self.offset, tuple((self.offset + j) * c for j, c in enumerate(self.coeffs))
         )
 
-    def truncate(self, order):
-        """Shorten to relative order T = order (never lengthens)."""
-        if order < 0 or order > self.order:
-            raise OutOfRange("cannot truncate order %s to %s" % (self.order, order))
-        return QSeries(self.offset, self.coeffs[: order + 1])
-
     def serialize(self):
         """Render as "q^(a/b) * [c0, c1, ...]" with exact fractions."""
         off = Fraction(0) if self.is_zero() else self.offset
@@ -182,7 +176,8 @@ class QSeries:
 
 def _pow_series(series, w):
     """series**w for integer w >= 0, preserving the truncation order."""
-    assert w >= 0
+    if w < 0:
+        raise OutOfRange("series power needs w >= 0, got %s" % w)
     out = QSeries(0, (Fraction(1),) + (Fraction(0),) * series.order)
     base = series
     while w:
@@ -221,12 +216,6 @@ class ModularForm:
 
     weight: Fraction
     series: QSeries
-
-    @property
-    def multiplier_t_exponent(self):
-        """Exponent class of the T-multiplier: weight/12 mod 1."""
-        w = Fraction(self.weight) / 12
-        return w - (w.numerator // w.denominator)
 
     def __add__(self, other):
         if not isinstance(other, ModularForm):

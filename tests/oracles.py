@@ -30,23 +30,30 @@ def brute_self_coupled(p, q, m, n):
     return found
 
 
+def kac_central_charge(p, q):
+    """c = 1 - 6(p-q)^2 / (pq), an exact Fraction."""
+    return 1 - Fraction(6 * (p - q) ** 2, p * q)
+
+
+def kac_weight(p, q, a, b):
+    """h_{a,b} = ((bp - aq)^2 - (p-q)^2) / (4pq), an exact Fraction."""
+    return Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q)
+
+
 def kac_exponents(p, q, m, n):
     """Exponent data of the acting label (m, n), straight from the Kac formula.
 
     Returns {key: (h, lam, r)} over the partner classes found by
-    brute_self_coupled, with exact Fractions: h = h_{a,b} =
-    ((bp - aq)^2 - (p-q)^2) / (4pq), lam = h - c/24 with
-    c = 1 - 6(p-q)^2 / (pq), and r = lam - h_{m,n}/12.  h_{a,b} is invariant
-    under the flip, so the values do not depend on the class representative.
+    brute_self_coupled, with exact Fractions: h = h_{a,b} (kac_weight),
+    lam = h - c/24 (c from kac_central_charge), and r = lam - h_{m,n}/12.
+    h_{a,b} is invariant under the flip, so the values do not depend on
+    the class representative.
     """
-    def weight(a, b):
-        return Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q)
-
-    c = 1 - Fraction(6 * (p - q) ** 2, p * q)
-    h_mn = weight(m, n)
+    c = kac_central_charge(p, q)
+    h_mn = kac_weight(p, q, m, n)
     out = {}
     for key in brute_self_coupled(p, q, m, n):
-        h = weight(*key)
+        h = kac_weight(p, q, *key)
         lam = h - c / 24
         out[key] = (h, lam, lam - h_mn / 12)
     return out

@@ -115,11 +115,38 @@ def test_cli_scan_filter_and_csv(capsys):
 
 def test_cli_scan_repeat_runs_identical(capsys):
     args = ["scan", "--p-max", "9", "--q-max", "8"]
-    assert cli.main(args) == 0
-    first = capsys.readouterr().out
-    assert cli.main(args) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    # a repeated run, and CSV through the pool against CSV without it
+    for extra_first, extra_second in [([], []),
+                                      (["--format", "csv", "--jobs", "1"],
+                                       ["--format", "csv", "--jobs", "2"])]:
+        assert cli.main(args + extra_first) == 0
+        first = capsys.readouterr().out
+        assert cli.main(args + extra_second) == 0
+        second = capsys.readouterr().out
+        assert first.count("\n") > 50
+        assert first == second
+
+
+def test_cli_scan_writes_each_record_before_the_next_cell(capsys, monkeypatch):
+    # when analyze is called for cell k + 1, stdout holds the records of
+    # the first k cells: a scan holds no list of records
+    analyze = analysis.analyze
+    written = []
+    lines_before_call = []
+
+    def spy(p, q, m, n):
+        written.append(capsys.readouterr().out)
+        lines_before_call.append("".join(written).count("\n"))
+        return analyze(p, q, m, n)
+
+    monkeypatch.setattr(cli.analysis, "analyze", spy)
+    assert cli.main(["scan", "--p-max", "7", "--q-max", "6"]) == 0
+    written.append(capsys.readouterr().out)
+    assert len(lines_before_call) > 20
+    assert lines_before_call == list(range(len(lines_before_call)))
+    monkeypatch.undo()
+    assert cli.main(["scan", "--p-max", "7", "--q-max", "6"]) == 0
+    assert "".join(written) == capsys.readouterr().out
 
 
 def test_cli_scan_filter_level(capsys):
@@ -152,8 +179,8 @@ def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, iterable, chunksize=None):
-            return [func(x) for x in iterable]
+        def imap(self, func, iterable, chunksize=None):
+            return map(func, iterable)
 
     monkeypatch.setattr(cli, "Pool", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
@@ -171,6 +198,42 @@ def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
     assert cli.main(["scan", "--p-max", "20", "--q-max", "20", "--jobs", "1",
                      "--filter", "dim=1"]) == 0
     assert capsys.readouterr().out == clamped
+
+
+def test_cli_scan_pool_holds_at_most_two_windows(capsys, monkeypatch):
+    # a pool reads all the input it is given at once; the scan gives it one
+    # window of cells at a time, one window ahead of the writer, so a slow
+    # writer never holds more than two windows of records
+    lag = []
+    written = [0]
+
+    class EagerPool:
+        """Stands in for multiprocessing.Pool: maps all its input at once."""
+
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=None):
+            return iter([func(x) for x in iterable])
+
+    def analyze(p, q, m, n):
+        written[0] += capsys.readouterr().out.count("\n")
+        lag.append(len(lag) - written[0])
+        return {"p": p, "q": q, "m": m, "n": n}
+
+    monkeypatch.setattr(cli, "Pool", EagerPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.analysis, "analyze", analyze)
+    assert cli.main(["scan", "--p-max", "30", "--q-max", "30", "--jobs", "2"]) == 0
+    written[0] += capsys.readouterr().out.count("\n")
+    assert written[0] == len(lag) > 10 * cli._WINDOW
+    assert cli._WINDOW < max(lag) <= 2 * cli._WINDOW
 
 
 def test_tracer_sites_resolve():

@@ -25,6 +25,7 @@ from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
                                fast_level, nu)
 from minrep.core import models
 from minrep.fusion import rep_dimension
+from minrep.qseries import _pow_series, eta_power
 from minrep.repdata import prime_case_closed_forms
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
                            low_dim_case)
@@ -257,10 +258,12 @@ def test_shape_table_drives_low_dim_classification():
 
 
 def test_nu_and_factorize_reject_bad_input_under_python_O():
-    # nu(5, 0) used to loop forever under -O, where its assert vanished,
-    # and factorize(0) returned (), so min_congruence_dim(0) gave 1
+    # nu(5, 0) and qseries._pow_series(s, -1) used to loop forever under
+    # -O, where their asserts vanished, and factorize(0) returned (), so
+    # min_congruence_dim(0) gave 1
+    series = eta_power(1, 4).series
     for call in (lambda: nu(5, 0), lambda: nu(1, 5), lambda: factorize(0),
-                 lambda: min_congruence_dim(0)):
+                 lambda: min_congruence_dim(0), lambda: _pow_series(series, -1)):
         with pytest.raises(OutOfRange):
             call()
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
@@ -268,9 +271,11 @@ def test_nu_and_factorize_reject_bad_input_under_python_O():
         import sys
         from minrep.congruence import factorize, min_congruence_dim, nu
         from minrep.errors import OutOfRange
+        from minrep.qseries import _pow_series, eta_power
         print("optimize", sys.flags.optimize)
+        series = eta_power(1, 4).series
         for call in (lambda: nu(5, 0), lambda: factorize(0),
-                     lambda: min_congruence_dim(0)):
+                     lambda: min_congruence_dim(0), lambda: _pow_series(series, -1)):
             try:
                 call()
             except OutOfRange:
@@ -279,7 +284,7 @@ def test_nu_and_factorize_reject_bad_input_under_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=30,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:4] == ["optimize 1", "raised", "raised", "raised"]
+    assert out.split("\n")[:5] == ["optimize 1", "raised", "raised", "raised", "raised"]
 
 
 def test_congruence_verdict_examples():

@@ -1,5 +1,6 @@
 """Exponent profiles, closed forms, minimal weight data, irreducibility."""
 
+import copy
 import json
 import os
 import subprocess
@@ -16,8 +17,8 @@ from minrep import (ModuleLabel, analysis, irreducibility_certificate,
 from minrep.core import list_modules, models
 from minrep.errors import (IrreducibilityUnknown, NotPrimeCase,
                            OutOfScopeDimension, SubsetBlowup)
-from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, RepProfile
-from oracles import brute_certificate, kac_exponents
+from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, SUBSET_CAP, RepProfile
+from oracles import brute_certificate, kac_central_charge, kac_exponents, kac_weight
 
 
 def F(a, b=1):
@@ -152,19 +153,25 @@ def test_irreducibility_examples():
 
 
 def test_profile_and_certificate_match_kac_oracle():
-    # every acting label with s <= 12 at p, q <= 14: lam, r and the partner
-    # weights against the Kac formula, the residue-bitset certificate
-    # against listing all subsets, and the record strings against both
+    # every canonical label at p, q <= 14: the record's c and h against the
+    # Kac formula; on every acting label, whatever its s, the partner h and
+    # lambda strings (rendered once per model) and the r strings; with
+    # s <= 12 also lam and r of the profile, and the residue-bitset
+    # certificate against listing all subsets
     seen = set()
     certificates = set()
+    largest_s = 0
     for model in models(14, 14):
         p, q = model.p, model.q
         for label in list_modules(model):
             m, n = label.m, label.n
-            if not label.is_acting or (p - m) * (q - n) // 2 > 12:
+            record = analysis.analyze(p, q, m, n)
+            assert record["c"] == analysis.frac_str(kac_central_charge(p, q))
+            assert record["h"] == analysis.frac_str(kac_weight(p, q, m, n))
+            if not label.is_acting:
                 continue
-            seen.add((p, q, m, n))
             profile = rep_profile(model, label)
+            largest_s = max(largest_s, profile.s)
             assert profile.big == 48 * p * q
             oracle = kac_exponents(p, q, m, n)
             keys = [min((a, b), (p - a, q - b)) for a, b in profile.partners]
@@ -172,20 +179,41 @@ def test_profile_and_certificate_match_kac_oracle():
             expected = [oracle[key] for key in keys]
             assert profile.lam == tuple(lam for _, lam, _ in expected)
             assert profile.r == tuple(r for _, _, r in expected)
-            cert = brute_certificate(profile.r)
-            assert irreducibility_certificate(profile) == cert, (p, q, m, n)
-            certificates.add(cert)
-            record = analysis.analyze(p, q, m, n)
             assert [x["h"] for x in record["partners"]] == [
                 analysis.frac_str(h) for h, _, _ in expected]
             assert record["lambda"] == [analysis.frac_str(lam) for _, lam, _ in expected]
             assert record["r"] == [analysis.frac_str(r) for _, _, r in expected]
+            if profile.s > 12:
+                continue
+            seen.add((p, q, m, n))
+            cert = brute_certificate(profile.r)
+            assert irreducibility_certificate(profile) == cert, (p, q, m, n)
+            certificates.add(cert)
             assert record["irreducibility"] == cert
     assert len(seen) == 537
+    # the string table is not bounded by the certificate's cap on s
+    assert largest_s > SUBSET_CAP
     assert certificates == {IRREDUCIBLE, INCONCLUSIVE}
     # hand-picked labels with s = 2 .. 8, (9, 2, 1, 1) having r_2 = 1/12
     assert {(3, 4, 1, 1), (5, 2, 1, 1), (9, 2, 1, 1), (5, 7, 1, 3),
             (5, 4, 1, 1), (7, 2, 1, 1), (3, 8, 1, 1)} <= seen
+
+    # a table hit, then an eviction by one model more than the table
+    # keeps: each rebuilt record equals the first, which a caller may
+    # change without touching later records
+    tables = analysis._model_strings
+    first = analysis.analyze(5, 7, 1, 3)
+    kept = copy.deepcopy(first)
+    first["partners"][0]["h"] = first["lambda"][0] = "changed"
+    hits = tables.cache_info().hits
+    assert analysis.analyze(5, 7, 1, 3) == kept
+    assert tables.cache_info().hits == hits + 1
+    others = [model for model in models(14, 14) if (model.p, model.q) != (5, 7)]
+    for model in others[:analysis._MODEL_TABLES + 1]:
+        analysis.analyze(model.p, model.q, 1, 1)
+    misses = tables.cache_info().misses
+    assert analysis.analyze(5, 7, 1, 3) == kept
+    assert tables.cache_info().misses == misses + 1
 
 
 def test_certificate_matches_subset_listing_on_all_small_residue_tuples():

@@ -121,7 +121,8 @@ def list_modules(model):
     p, q = model.p, model.q
     labels = [ModuleLabel(m, n) for m in range(1, p, 2) for n in range(1, q)]
     if len(labels) != (p - 1) * (q - 1) // 2:
-        raise AssertionError("%d canonical labels for (%s, %s)" % (len(labels), p, q))
+        raise AssertionError("(%s, %s) has %d canonical labels, not (p - 1)(q - 1)/2"
+                             % (p, q, len(labels)))
     return labels
 
 

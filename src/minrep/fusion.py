@@ -135,8 +135,8 @@ def self_coupled_partners(model, label):
         for nj in range((n + 1) // 2, q - (n + 1) // 2 + 1)
     )
     if len(pairs) != (p - m) * (q - n) // 2:
-        raise AssertionError("%d partners for the dimension (p - m)(q - n)/2 of (%s, %s)"
-                             % (len(pairs), m, n))
+        raise AssertionError("label (%s, %s) has %d partners, not (p - m)(q - n)/2"
+                             % (m, n, len(pairs)))
     return PartnerSet(label, pairs)
 
 

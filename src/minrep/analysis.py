@@ -195,10 +195,17 @@ class _Echo:
         return text
 
 
+_CSV_WRITER = csv.DictWriter(_Echo(), fieldnames=CSV_COLUMNS, lineterminator="\n")
+
+
+def record_to_csv_line(record):
+    """The CSV line of one record, with its newline."""
+    return _CSV_WRITER.writerow(record_to_csv_row(record))
+
+
 def records_to_csv(records):
     """CSV lines of the records: the header line, then one line per record
     as it is drawn from the iterable records."""
-    writer = csv.DictWriter(_Echo(), fieldnames=CSV_COLUMNS, lineterminator="\n")
-    yield writer.writeheader()
+    yield _CSV_WRITER.writeheader()
     for record in records:
-        yield writer.writerow(record_to_csv_row(record))
+        yield record_to_csv_line(record)

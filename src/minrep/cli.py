@@ -9,11 +9,11 @@ variable overrides the default truncation order 40 for qseries.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
 from multiprocessing import Pool
 
@@ -109,26 +109,38 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _scan_cell(cell):
-    p, q, m, n = cell
-    return analysis.analyze(p, q, m, n)
-
-
 def _parse_filter(spec):
+    """The filter as (key, value), or None for no filter: key is the record
+    field to compare, "verdict" standing for its verdict's status."""
     if spec is None:
-        return lambda record: True
-    match = re.fullmatch(r"(verdict|dim|level)=([a-z0-9]+)", spec)
+        return None
+    match = re.fullmatch(r"verdict=([a-z]+)|(dim|level)=([0-9]+)", spec)
     if match is None:
         raise _UsageError("bad filter %r; expected verdict=..., dim=N or level=N" % spec)
-    key, value = match.groups()
+    status, key, number = match.groups()
+    if key is None:
+        if status not in ("congruence", "noncongruence", "unknown"):
+            raise _UsageError("unknown verdict %r" % status)
+        return "verdict", status
+    return ("s" if key == "dim" else "level"), int(number)
+
+
+def _kept(record, condition):
+    key, value = condition
     if key == "verdict":
-        if value not in ("congruence", "noncongruence", "unknown"):
-            raise _UsageError("unknown verdict %r" % value)
-        return lambda r: "verdict" in r and r["verdict"]["status"] == value
-    number = int(value)
-    if key == "dim":
-        return lambda r: r.get("s") == number
-    return lambda r: r.get("level") == number
+        return "verdict" in record and record["verdict"]["status"] == value
+    return record.get(key) == value
+
+
+def _scan_cell(fmt, condition, cell):
+    """The output text of one cell: its record's line in the format fmt,
+    or "" if the filter condition drops the record."""
+    record = analysis.analyze(*cell)
+    if condition is not None and not _kept(record, condition):
+        return ""
+    if fmt == "jsonl":
+        return analysis.record_to_json(record) + "\n"
+    return analysis.record_to_csv_line(record)
 
 
 def cmd_scan(args):
@@ -136,7 +148,9 @@ def cmd_scan(args):
         raise _UsageError("scan bounds must be >= 2")
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1, got %s" % args.jobs)
-    keep = _parse_filter(args.filter)
+    # a picklable function, so that each line is rendered where its cell
+    # is analyzed and only text crosses the pool's pipe
+    scan_cell = partial(_scan_cell, args.format, _parse_filter(args.filter))
     cells = (
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)
@@ -147,11 +161,14 @@ def cmd_scan(args):
     head = list(islice(cells, jobs))
     jobs = min(jobs, len(head))
     cells = chain(head, cells)
+    if args.format == "csv":
+        # the CSV of no records is its header line
+        sys.stdout.writelines(analysis.records_to_csv(()))
     if jobs > 1:
         with Pool(jobs) as pool:
-            _write_records(_pool_records(pool, cells), keep, args.format)
+            sys.stdout.writelines(_pool_records(pool, scan_cell, cells))
     else:
-        _write_records(map(_scan_cell, cells), keep, args.format)
+        sys.stdout.writelines(map(scan_cell, cells))
     return EXIT_OK
 
 
@@ -160,31 +177,21 @@ _CHUNK = 64
 _WINDOW = 8 * _CHUNK
 
 
-def _pool_records(pool, cells):
-    """The records of the cells from the pool, in order.
+def _pool_records(pool, scan_cell, cells):
+    """scan_cell of each cell from the pool, in order.
 
-    Pool.imap reads all of its input at once and queues every record the
+    Pool.imap reads all of its input at once and queues every result the
     writer has not yet taken, so a writer slower than the workers would
     hold a backlog that grows with the grid.  The cells go to the pool a
     window at a time instead, one window ahead of the writer, so that at
-    most two windows of records are held.
+    most two windows of results are held.
     """
     windows = iter(lambda: list(islice(cells, _WINDOW)), [])
     ahead = iter(())
     for window in windows:
-        current, ahead = ahead, pool.imap(_scan_cell, window, chunksize=_CHUNK)
+        current, ahead = ahead, pool.imap(scan_cell, window, chunksize=_CHUNK)
         yield from current
     yield from ahead
-
-
-def _write_records(records, keep, fmt):
-    """Write each kept record to stdout as it arrives, in arrival order."""
-    records = filter(keep, records)
-    if fmt == "jsonl":
-        lines = (analysis.record_to_json(record) + "\n" for record in records)
-    else:
-        lines = analysis.records_to_csv(records)
-    sys.stdout.writelines(lines)
 
 
 _FACTOR_RE = re.compile(r"(?:(\d+(?:/\d+)?)|(G4|G6|D)(?:\^(\d+))?)$")

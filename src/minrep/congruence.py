@@ -16,10 +16,15 @@ irreducible representation of SL2(Z/r^t Z) is
     (r^2-1) r^(t-2) / 2   for r > 2, t > 1,
 
 and multiplying these minima over the prime powers in N lower-bounds the
-dimension of any congruence representation of that level.  Whenever the
-actual dimension s falls below the bound, the representation cannot be
-congruence; that certificate drives all the arithmetic noncongruence
-criteria here.
+dimension of any *irreducible* congruence representation of that level,
+which factors as a tensor product over the prime powers.  A reducible one
+can split the prime powers across its constituents (a level-5 piece of
+dimension 2 plus a level-7 piece of dimension 3 is congruence of level 35
+and dimension 5 < 2 * 3), so without irreducibility the sound bound is
+max(1, sum of the minima m(r, t) >= 2).  Whenever the actual dimension s
+falls below the product, an irreducible representation cannot be
+congruence; that certificate, with its irreducibility premise, drives all
+the arithmetic noncongruence criteria here.
 
 Two valuation facts pin the level down: for a prime r > 3 dividing p with
 m <= p - 4 one has nu_r(N) = nu_r(p), and for r > 3 dividing q with

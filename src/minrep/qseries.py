@@ -8,7 +8,8 @@ coefficients c_0..c_T, representing
 
 with c_0 != 0 unless the series is zero through its window.  Addition
 requires the two exponents to differ by an integer (the series live on a
-common fractional lattice); the zero series is absorbed exactly.
+common fractional lattice), except that a zero series on another lattice
+is absorbed exactly; a sum is known only as far as both summands are.
 
 The graded ring M = C[G4, G6] of level-one modular forms is generated by
 the Eisenstein series, normalised as
@@ -35,7 +36,7 @@ the operator raises any input weight by w.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, floor
 
 from .errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
                      OddWeight, OutOfRange, WeightMismatch)
@@ -109,22 +110,27 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QSeries(0, (other,) + (Fraction(0),) * self.order)
+            # a scalar is exact: its window reaches as far as self's
+            top = max(0, floor(self.offset) + self.order)
+            other = QSeries(0, (other,) + (Fraction(0),) * top)
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         shift = other.offset - self.offset
         if shift.denominator != 1:
+            # a series vanishes off its lattice, so a zero on another
+            # lattice adds nothing; on the same lattice its window bounds
+            # the sum like any other summand's
+            if other.is_zero():
+                return self
+            if self.is_zero():
+                return other
             raise ExponentMismatch(
                 "cannot add series with exponents %s and %s on different lattices"
                 % (self.offset, other.offset)
             )
         shift = int(shift)
-        # both series vanish identically below their windows (leading
-        # coefficients are nonzero), so the sum is known on [lo, hi]
+        # both series vanish below their windows, so the sum is known on
+        # [lo, hi]
         lo = min(0, shift)
         hi = min(self.order, shift + other.order)
         out = [Fraction(0)] * (hi - lo + 1)

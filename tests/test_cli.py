@@ -87,6 +87,14 @@ def test_cli_usage_error(capsys):
     assert code == 64
     code = cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", "bogus"])
     assert code == 64
+    # dim and level take digits only, checked before any worker starts
+    for spec in ("dim=abc", "level=x1"):
+        assert cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", spec,
+                         "--jobs", "2"]) == 64
+        assert "bad filter" in capsys.readouterr().err
+    assert cli.main(["scan", "--p-max", "9", "--q-max", "8", "--filter", "dim=007"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows and all(r["s"] == 7 for r in rows)
 
 
 def test_cli_scan_includes_benchmarks(capsys):
@@ -113,7 +121,7 @@ def test_cli_scan_filter_and_csv(capsys):
     assert len(lines) > 1
 
 
-def test_cli_scan_repeat_runs_identical(capsys):
+def test_cli_scan_repeat_runs_identical(capsys, monkeypatch):
     args = ["scan", "--p-max", "9", "--q-max", "8"]
     # a repeated run, and CSV through the pool against CSV without it
     for extra_first, extra_second in [([], []),
@@ -125,6 +133,17 @@ def test_cli_scan_repeat_runs_identical(capsys):
         second = capsys.readouterr().out
         assert first.count("\n") > 50
         assert first == second
+    # a real two-process pool over 2,556 cells, more than four windows,
+    # against the serial scan, in both formats and through the filter
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["scan", "--p-max", "16", "--q-max", "16"]
+    for extra, lines in [([], 2556),
+                         (["--format", "csv", "--filter", "verdict=unknown"], 1 + 383)]:
+        assert cli.main(args + extra + ["--jobs", "1"]) == 0
+        first = capsys.readouterr().out
+        assert first.count("\n") == lines
+        assert cli.main(args + extra + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == first
 
 
 def test_cli_scan_writes_each_record_before_the_next_cell(capsys, monkeypatch):
@@ -180,7 +199,10 @@ def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
             return False
 
         def imap(self, func, iterable, chunksize=None):
-            return map(func, iterable)
+            # only rendered text comes back from the workers
+            for value in map(func, iterable):
+                assert isinstance(value, str), value
+                yield value
 
     monkeypatch.setattr(cli, "Pool", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
@@ -348,15 +370,17 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_scan_identical_under_python_O():
-    # python -O strips asserts; no verdict may depend on one
+    # python -O strips asserts; no verdict may depend on one, in the serial
+    # scan or in the pool's workers
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     outputs = []
     for flags in ([], ["-O"]):
-        outputs.append(subprocess.run(
-            [sys.executable, *flags, "-m", "minrep.cli", "scan", "--p-max", "10",
-             "--q-max", "10"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
-            check=True,
-        ).stdout)
+        for jobs in ("1", "2"):
+            outputs.append(subprocess.run(
+                [sys.executable, *flags, "-m", "minrep.cli", "scan", "--p-max", "10",
+                 "--q-max", "10", "--jobs", jobs],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
+                check=True,
+            ).stdout)
     assert outputs[0].count(b"\n") > 100
-    assert outputs[0] == outputs[1]
+    assert outputs[1:] == outputs[:1] * 3

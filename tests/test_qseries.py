@@ -106,6 +106,23 @@ def test_qseries_add_alignment():
     assert (a + zero) == a
 
 
+def test_qseries_add_zero_keeps_the_shorter_window():
+    # a zero summand on the same lattice is known only through its window,
+    # so it truncates the sum like any other summand
+    a = QSeries(0, [1])
+    b = QSeries(0, [1, 1])
+    c = QSeries(0, [-1, 0])
+    assert (a * (b + c) - (a * b + a * c)).is_zero()
+    x = QSeries(0, (1, 2, 3, 4))
+    zero = QSeries(0, (0, 0))
+    for total in (x + zero, zero + x):
+        assert total.coeffs == (F(1), F(2))
+    assert (QSeries(3, (5,)) + zero).is_zero()
+    # a scalar is exact, also against a window that starts above q^0
+    assert (QSeries(2, (1, 1)) + 0).coeffs == (F(1), F(1))
+    assert (QSeries(2, (1, 1)) + 3).coeffs == (F(3), F(0), F(1), F(1))
+
+
 def test_qseries_serialize():
     s = QSeries(F(1, 24), (1, -1, -1))
     assert s.serialize() == "q^(1/24) * [1, -1, -1]"

@@ -5,7 +5,8 @@ expressions applied to builtin series), selftest (verification sweeps).
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 64 usage
 error, 65 expression parse error.  The MINREP_TRUNCATION environment
-variable overrides the default truncation order 40 for qseries.
+variable overrides the default truncation order 40 for qseries; from
+either source the order must lie in [1, qseries.MAX_ORDER = 10000].
 """
 
 import argparse
@@ -280,8 +281,8 @@ def cmd_qseries(args):
             order = int(env) if env else qseries.DEFAULT_ORDER
         except ValueError:
             raise _UsageError("MINREP_TRUNCATION must be an integer, got %r" % env) from None
-    if order < 1:
-        raise _UsageError("order must be >= 1")
+    if not 1 <= order <= qseries.MAX_ORDER:
+        raise _UsageError("order must be in [1, %d], got %s" % (qseries.MAX_ORDER, order))
     try:
         target = parse_builtin_series(args.target, order)
         operator = parse_operator(args.expr, order)

@@ -28,17 +28,18 @@ the arithmetic noncongruence criteria here.
 
 Two valuation facts pin the level down: for a prime r > 3 dividing p with
 m <= p - 4 one has nu_r(N) = nu_r(p), and for r > 3 dividing q with
-n <= q - 3 one has nu_r(N) = nu_r(q).  Combined with the exact 2-adic
-count (for p, q, m, n all odd every numerator of r_j is divisible by 2 but
-not 4, so nu_2(N) = 3), these give clean noncongruence statements when p
-and q are powers of primes exceeding 3.
+n <= q - 3 one has nu_r(N) = nu_r(q).  The "lemmas" suite of selftest
+checks both on every acting label of its grid.  Combined with the exact
+2-adic count (for p, q, m, n all odd every numerator of r_j is divisible
+by 2 but not 4, so nu_2(N) = 3), these give clean noncongruence
+statements when p and q are powers of primes exceeding 3.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import DimensionTooLarge, HypothesisNotMet, NotPrime, OutOfRange
+from .errors import DimensionTooLarge, NotPrime, OutOfRange
 from .fusion import rep_dimension
 from .repdata import _is_prime, rep_profile
 from .spaces import DIM1, DIM2_I, DIM2_II, DIM3_I, low_dim_case
@@ -73,13 +74,6 @@ class Level:
 
     N: int
     factorization: tuple
-
-    def nu(self, r):
-        """r-adic valuation of N."""
-        for prime, t in self.factorization:
-            if prime == r:
-                return t
-        return 0
 
 
 def factorize(n):
@@ -182,68 +176,6 @@ def min_congruence_dim(lv):
     for r, t in factorization:
         out *= nw_min_dim(r, t)
     return out
-
-
-@dataclass(frozen=True)
-class NWCertificate:
-    """Witness that s < min_congruence_dim(N), hence noncongruence."""
-
-    level: Level
-    min_dim: int
-    dimension: int
-
-
-def _nw_bound(profile):
-    """(level, Nobs-Wolfart bound, certificate or None when s >= bound)."""
-    lv = level(profile)
-    bound = min_congruence_dim(lv)
-    cert = NWCertificate(lv, bound, profile.s) if profile.s < bound else None
-    return lv, bound, cert
-
-
-def nw_noncongruence_certificate(profile):
-    """The dimension-vs-level certificate, or None when the bound is idle."""
-    return _nw_bound(profile)[2]
-
-
-@dataclass(frozen=True)
-class ValuationReport:
-    """Computed nu_r(N) next to the predicted nu_r(p) or nu_r(q)."""
-
-    prime: int
-    side: str          # "p" or "q"
-    nu_level: int
-    nu_model: int
-
-    @property
-    def matches(self):
-        return self.nu_level == self.nu_model
-
-
-def valuation_check(model, label, r, profile=None):
-    """Check nu_r(N) against nu_r(p) (resp. nu_r(q)) for a prime r > 3.
-
-    Hypotheses: r > 3 prime, and either r | p with m <= p - 4, or r | q
-    with n <= q - 3; anything else raises HypothesisNotMet.  The level is
-    computed from the actual exponent denominators, not assumed.
-    """
-    if not _is_prime(r) or r <= 3:
-        raise HypothesisNotMet("a prime r > 3 is required, got %s" % r)
-    p, q, m, n = model.p, model.q, label.m, label.n
-    if p % r == 0:
-        if m > p - 4:
-            raise HypothesisNotMet("need m <= p - 4 for the p-side lemma")
-        side, nu_model = "p", nu(r, p)
-    elif q % r == 0:
-        if n > q - 3:
-            raise HypothesisNotMet("need n <= q - 3 for the q-side lemma")
-        side, nu_model = "q", nu(r, q)
-    else:
-        raise HypothesisNotMet("%s divides neither p nor q" % r)
-    if profile is None:
-        profile = rep_profile(model, label)
-    lv = level(profile)
-    return ValuationReport(r, side, lv.nu(r), nu_model)
 
 
 @lru_cache(maxsize=8)
@@ -408,7 +340,9 @@ def congruence_verdict(model, label, profile=None):
     if profile is None:
         profile = rep_profile(model, label)
     s = profile.s
-    lv, bound, cert = _nw_bound(profile)
+    lv = level(profile)
+    bound = min_congruence_dim(lv)
+    certified = s < bound
 
     # the criteria are looked up at call time, so a patched one takes effect
     arithmetic = [tag for tag, criterion in (
@@ -416,9 +350,9 @@ def congruence_verdict(model, label, profile=None):
         (BOUNDARY_PRIME_POWER, boundary_prime_power_criterion),
         (DISTINCT_PRIMES, distinct_primes_criterion),
     ) if criterion(model, label)]
-    if arithmetic and cert is None:
+    if arithmetic and not certified:
         raise AssertionError("arithmetic criterion fired without the dimension bound")
-    agreeing = ([NW_DIMENSION_BOUND] if cert is not None else []) + arithmetic
+    agreeing = ([NW_DIMENSION_BOUND] if certified else []) + arithmetic
 
     base = {
         "s": s,
@@ -431,7 +365,7 @@ def congruence_verdict(model, label, profile=None):
     if s <= 3:
         low = classify_low_dim(model, label)
         if low.status != UNKNOWN:
-            if low.status == CONGRUENCE and cert is not None:
+            if low.status == CONGRUENCE and certified:
                 raise AssertionError(
                     "congruence classification contradicts the dimension bound")
             if low.details.get("level", lv.N) != lv.N:
@@ -442,10 +376,10 @@ def congruence_verdict(model, label, profile=None):
             return CongruenceVerdict(low.status, low.criterion, details)
 
     if (label.m, label.n) == (1, 1):
-        if cert is not None:
+        if certified:
             raise AssertionError("dimension bound fired on the vacuum label")
         return CongruenceVerdict(CONGRUENCE, VACUUM, base)
 
-    if cert is not None:
+    if certified:
         return CongruenceVerdict(NONCONGRUENCE, NW_DIMENSION_BOUND, base)
     return CongruenceVerdict(UNKNOWN, NO_CRITERION, base)

@@ -34,10 +34,6 @@ class NonCanonicalLabel(MinrepError):
     """The operation needs a canonical acting label, with m and n both odd."""
 
 
-class NotAdmissible(MinrepError):
-    """The triple of Kac labels violates the fusion admissibility rules."""
-
-
 class NotPrimeCase(MinrepError):
     """Closed forms apply only when the representation dimension is 1 or prime."""
 
@@ -56,10 +52,6 @@ class SubsetBlowup(MinrepError):
 
 class NotPrime(MinrepError):
     """A prime number was required."""
-
-
-class HypothesisNotMet(MinrepError):
-    """The valuation lemma hypotheses fail for the given prime and label."""
 
 
 class DimensionTooLarge(MinrepError):

@@ -43,6 +43,8 @@ from .errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
 
 #: default truncation order for q-expansions
 DEFAULT_ORDER = 40
+#: largest truncation order the qseries command accepts
+MAX_ORDER = 10_000
 
 
 class QSeries:
@@ -419,17 +421,9 @@ class ModularOperator:
         out = [slots.get(i) for i in range(max(slots) + 1)]
         return ModularOperator(out)
 
-    def __call__(self, components, weight):
-        return apply_operator(self, components, weight)
-
 
 def _one_form(order):
     return ModularForm(Fraction(0), QSeries(0, (Fraction(1),) + (Fraction(0),) * order))
-
-
-def compose(a, b):
-    """Operator composition a ∘ b in the Leibniz ring."""
-    return a.compose(b)
 
 
 def apply_operator(op, components, weight):

@@ -63,7 +63,7 @@ class RepProfile:
     model: object
     label: object
     s: int
-    partners: object
+    partners: tuple
     big: int
     y: tuple
     x: tuple
@@ -222,8 +222,9 @@ def minimal_weight_profile(profile, certificate=None):
     """Reduced exponents and minimal holomorphic weight, for s <= 3.
 
     The minimal weight formula is proven for irreducible representations
-    of dimension less than four, so both conditions are enforced: larger s raises OutOfScopeDimension, and a certificate other
-    than "irreducible" raises IrreducibilityUnknown.
+    of dimension less than four, so both conditions are enforced: larger
+    s raises OutOfScopeDimension, and a certificate other than
+    "irreducible" raises IrreducibilityUnknown.
     """
     if profile.s > 3:
         raise OutOfScopeDimension(

@@ -8,6 +8,25 @@ from fractions import Fraction
 from math import lcm
 
 
+def admissible(p, q, triple):
+    """The fusion rules, literally, for ((m, n), (m_j, n_j), (m_k, n_k)).
+
+    Range, triangle, perimeter and parity; out-of-range indices give
+    False.  No flip branch: the flip trades the perimeter inequality with
+    the first triangle inequality and the other two triangle inequalities
+    with each other, and keeps the parity.
+    """
+    (m, n), (mj, nj), (mk, nk) = triple
+    for a, b, c, bound in ((m, mj, mk, p), (n, nj, nk, q)):
+        if not (0 < a < bound and 0 < b < bound and 0 < c < bound):
+            return False
+        if not (a < b + c and b < a + c and c < a + b):
+            return False
+        if not (a + b + c < 2 * bound and (a + b + c) % 2 == 1):
+            return False
+    return True
+
+
 def brute_self_coupled(p, q, m, n):
     """All self-coupled partner classes of (m, n), by exhaustive search.
 
@@ -66,6 +85,33 @@ def fraction_level(p, q, m, n):
     for _, _, r in kac_exponents(p, q, m, n).values():
         out = lcm(out, r.denominator)
     return out
+
+
+def _valuation(r, x):
+    t = 0
+    while x % r == 0:
+        x //= r
+        t += 1
+    return t
+
+
+def _primes_above_3(x):
+    return [r for r in range(5, x + 1)
+            if x % r == 0 and all(r % d for d in range(2, r))]
+
+
+def valuation_lemma(p, q, m, n):
+    """(r, nu_r(N), nu_r(p or q)) for each prime r > 3 whose lemma hypothesis
+    holds at the acting label (m, n): r | p with m <= p - 4, or r | q with
+    n <= q - 3.  N is fraction_level(p, q, m, n); the lemma says the last
+    two entries agree.
+    """
+    cases = [(r, p) for r in _primes_above_3(p) if m <= p - 4]
+    cases += [(r, q) for r in _primes_above_3(q) if n <= q - 3]
+    if not cases:
+        return []
+    level = fraction_level(p, q, m, n)
+    return [(r, _valuation(r, level), _valuation(r, x)) for r, x in cases]
 
 
 def brute_certificate(rs):

@@ -22,6 +22,7 @@ from minrep.congruence import (CONGRUENCE, NONCONGRUENCE, NW_DIMENSION_BOUND,
                                distinct_primes_criterion, fast_level, level,
                                min_congruence_dim, prime_power_criterion)
 from minrep.core import ModuleLabel, list_modules, models, validate_model
+from minrep.fusion import self_coupled_partners
 from minrep.qseries import eisenstein, eta_power, modular_derivative
 from minrep.repdata import rep_profile
 from minrep.selftest import (suite_lemmas, suite_monic, suite_qseries,
@@ -68,11 +69,10 @@ def test_criterion_01_dimension_formula_vs_enumeration():
         for label in _acting(model):
             m, n = label.m, label.n
             checked += 1
-            from minrep.fusion import self_coupled_partners
             partners = self_coupled_partners(model, label)
             expected = (p - m) * (q - n) // 2
             oracle = brute_self_coupled(p, q, m, n)
-            if len(partners) != expected or partner_canonical_keys(p, q, partners.pairs) != oracle:
+            if len(partners) != expected or partner_canonical_keys(p, q, partners) != oracle:
                 failures.append((p, q, m, n))
     _report(1, "partner count equals (p-m)(q-n)/2 and matches brute force, p,q <= 30",
             failures, checked)

@@ -1,5 +1,7 @@
 """Analysis records, serialization round trips and the CLI surface."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import json
@@ -8,7 +10,7 @@ import subprocess
 import sys
 
 import minrep
-from minrep import analysis, cli
+from minrep import analysis, cli, qseries
 
 
 def test_analyze_record_structure():
@@ -272,6 +274,31 @@ def test_tracer_sites_resolve():
             module_name, attr)
 
 
+def test_public_names_resolve_and_match_the_imports():
+    # __all__ lists each name once, every one resolves, and nothing that
+    # __init__ imports from a submodule is left out of it
+    assert len(set(minrep.__all__)) == len(minrep.__all__)
+    for name in minrep.__all__:
+        getattr(minrep, name)
+    with open(minrep.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert imported and imported <= set(minrep.__all__)
+
+
+def test_package_source_has_no_assert_statements():
+    # python -O strips assert statements, so invariants raise explicitly
+    paths = glob.glob(os.path.join(os.path.dirname(minrep.__file__), "*.py"))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, (path, asserts)
+
+
 def test_cli_qseries_annihilation(capsys):
     code = cli.main(["qseries", "--expr", "D", "--apply", "eta^8", "--order", "20"])
     out = capsys.readouterr().out.strip()
@@ -309,11 +336,20 @@ def test_cli_qseries_parse_errors(capsys):
     assert cli.main(["qseries", "--expr", "3/0*G4", "--apply", "G4"]) == 65
     capsys.readouterr()
     assert cli.main(["qseries", "--expr", "D", "--apply", "eta^0"]) == 65
+    capsys.readouterr()
+    # orders outside [1, MAX_ORDER] are usage errors, rejected before any work
+    for order in (10 ** 30, qseries.MAX_ORDER + 1):
+        assert cli.main(["qseries", "--expr", "D", "--apply", "eta",
+                         "--order", str(order)]) == 64
+        capsys.readouterr()
 
 
 def test_cli_qseries_bad_env(capsys, monkeypatch):
     monkeypatch.setenv("MINREP_TRUNCATION", "abc")
     assert cli.main(["qseries", "--expr", "1", "--apply", "G4"]) == 64
+    for order in (10 ** 30, qseries.MAX_ORDER + 1):
+        monkeypatch.setenv("MINREP_TRUNCATION", str(order))
+        assert cli.main(["qseries", "--expr", "1", "--apply", "G4"]) == 64
 
 
 def test_cli_qseries_compound_expression(capsys):

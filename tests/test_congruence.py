@@ -12,27 +12,27 @@ import minrep
 from minrep import (ModuleLabel, boundary_prime_power_criterion,
                     classify_low_dim, congruence_verdict,
                     distinct_primes_criterion, level, list_modules,
-                    min_congruence_dim, nw_min_dim,
-                    nw_noncongruence_certificate, prime_power_criterion,
-                    rep_profile, valuation_check, validate_model)
+                    min_congruence_dim, nw_min_dim, prime_power_criterion,
+                    rep_profile, validate_model)
 from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
                                DIM2_CONSTANT_REP, DIM2_INFINITE_IMAGE,
                                DIM2_P5, DIM3_DIVISOR_BOUND, DIM3_INFINITE_IMAGE,
                                DIM3_LEVEL_DIVISOR, DIM3_UNDETERMINED,
                                DISTINCT_PRIMES, NONCONGRUENCE,
-                               NW_DIMENSION_BOUND, ONE_DIMENSIONAL, UNKNOWN,
-                               VACUUM, CriterionResult, Level, factorize,
+                               NW_DIMENSION_BOUND, ONE_DIMENSIONAL,
+                               PRIME_POWER_BOUND, UNKNOWN, VACUUM,
+                               CriterionResult, Level, factorize,
                                fast_level, nu)
 from minrep.core import models
 from minrep.fusion import rep_dimension
 from minrep.qseries import _pow_series, eta_power
 from minrep.repdata import prime_case_closed_forms
+from minrep.selftest import suite_lemmas
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
                            low_dim_case)
-from minrep.errors import (DimensionTooLarge, HypothesisNotMet, NotPrime,
-                           OutOfRange)
+from minrep.errors import DimensionTooLarge, NotPrime, OutOfRange
 
-from oracles import fraction_level
+from oracles import fraction_level, valuation_lemma
 
 
 def _profile(p, q, m, n):
@@ -71,7 +71,7 @@ def test_level_matches_fraction_oracle():
 def test_level_factorization():
     lv = level(_profile(5, 2, 1, 1))
     assert lv.factorization == ((2, 2), (3, 1), (5, 1))
-    assert lv.nu(2) == 2 and lv.nu(7) == 0
+    assert nu(2, lv.N) == 2 and nu(7, lv.N) == 0
 
 
 def test_eight_divides_level_for_odd_pairs():
@@ -83,7 +83,7 @@ def test_eight_divides_level_for_odd_pairs():
             for m in range(1, p, 2):
                 for n in range(1, q, 2):
                     lv = level(_profile(p, q, m, n))
-                    assert lv.nu(2) == 3, (p, q, m, n)
+                    assert nu(2, lv.N) == 3, (p, q, m, n)
 
 
 def test_nw_min_dim_table():
@@ -111,27 +111,37 @@ def test_min_congruence_dim_products():
 
 
 def test_nw_certificate_examples():
-    assert nw_noncongruence_certificate(_profile(7, 2, 3, 1)) is not None
-    cert = nw_noncongruence_certificate(_profile(5, 7, 1, 3))
-    assert cert is not None
-    assert cert.dimension == 8 and cert.min_dim == 12
-    assert nw_noncongruence_certificate(_profile(5, 2, 1, 1)) is None
+    # the dimension bound s < min_congruence_dim(N) fires at (7, 2, 3, 1),
+    # where the low-dimension classification decides, and decides (5, 7, 1, 3)
+    v = congruence_verdict(validate_model(7, 2), ModuleLabel(3, 1))
+    assert v.details["agreeing_criteria"] == [NW_DIMENSION_BOUND]
+    v = congruence_verdict(validate_model(5, 7), ModuleLabel(1, 3))
+    assert v.status == NONCONGRUENCE and v.criterion == NW_DIMENSION_BOUND
+    assert v.details["s"] == 8 and v.details["min_congruence_dim"] == 12
+    assert v.details["agreeing_criteria"] == [
+        NW_DIMENSION_BOUND, PRIME_POWER_BOUND, DISTINCT_PRIMES]
+    v = congruence_verdict(validate_model(5, 2), ModuleLabel(1, 1))
+    assert v.details["s"] >= v.details["min_congruence_dim"]
+    assert v.details["agreeing_criteria"] == []
 
 
-def test_valuation_check_examples():
-    model = validate_model(5, 7)
-    label = ModuleLabel(1, 3)
-    rep5 = valuation_check(model, label, 5)
-    assert rep5.side == "p" and rep5.nu_level == 1 == rep5.nu_model and rep5.matches
-    rep7 = valuation_check(model, label, 7)
-    assert rep7.side == "q" and rep7.nu_level == 1 == rep7.nu_model
-    with pytest.raises(HypothesisNotMet):
-        valuation_check(model, label, 3)
-    with pytest.raises(HypothesisNotMet):
-        valuation_check(model, label, 11)
-    # m = p - 2 breaks the p-side index bound
-    with pytest.raises(HypothesisNotMet):
-        valuation_check(model, ModuleLabel(3, 3), 5)
+def test_valuation_lemmas_match_fraction_oracle():
+    # nu_r(N) = nu_r(p) resp. nu_r(q) on every acting label with p, q <= 20,
+    # with N from Fraction denominators; the selftest suite checks exactly
+    # the cases the oracle lists, so its hypothesis filter is pinned too
+    cases = 0
+    for model in models(20, 20):
+        p, q = model.p, model.q
+        for label in list_modules(model):
+            if not label.is_acting:
+                continue
+            for r, nu_level, nu_model in valuation_lemma(p, q, label.m, label.n):
+                assert nu_level == nu_model, (p, q, label, r)
+                cases += 1
+    assert cases > 0
+    result = suite_lemmas(20)
+    assert result.ok
+    assert result.checked == cases
 
 
 def test_prime_power_criterion_examples():
@@ -317,11 +327,11 @@ def test_exceptional_pairs_sit_on_the_bound():
     model = validate_model(5, 7)
     prof = _profile(5, 7, 1, 5)
     assert prof.s == 4 and level(prof).N == 40       # no factor 7
-    assert nw_noncongruence_certificate(prof) is None
+    assert prof.s == min_congruence_dim(level(prof))
     assert congruence_verdict(model, ModuleLabel(1, 5)).status == UNKNOWN
     prof = _profile(5, 7, 3, 1)
     assert prof.s == 6 and level(prof).N == 168      # no factor 5
-    assert nw_noncongruence_certificate(prof) is None
+    assert prof.s == min_congruence_dim(level(prof))
     assert congruence_verdict(model, ModuleLabel(3, 1)).status == UNKNOWN
 
 

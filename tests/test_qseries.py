@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
-                    apply_operator, bernoulli, compose, eisenstein, eta_power,
+                    apply_operator, bernoulli, eisenstein, eta_power,
                     modular_derivative)
 from minrep.errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
                            OddWeight, OutOfRange, WeightMismatch)
@@ -162,7 +162,7 @@ def test_operator_compose_leibniz():
     # D after G4 equals G4 D + (D_4 G4) = G4 D + 14 G6
     der = ModularOperator.derivative()
     g4op = ModularOperator.from_form(eisenstein(4))
-    composed = compose(der, g4op)
+    composed = der.compose(g4op)
     g6 = eisenstein(6)
     assert composed.degree == 1
     assert (composed.coeffs[0].series - g6.series * 14).is_zero()
@@ -177,7 +177,7 @@ def test_identity_operator():
     # 1 is a two-sided identity for composition
     der = ModularOperator.derivative()
     probe = eta_power(2).series
-    for composed in (compose(ident, der), compose(der, ident)):
+    for composed in (ident.compose(der), der.compose(ident)):
         left = apply_operator(composed, [probe], F(1))[0]
         right = apply_operator(der, [probe], F(1))[0]
         assert (left - right).is_zero()
@@ -187,8 +187,8 @@ def test_double_derivative_associativity_instance():
     der = ModularOperator.derivative()
     g4op = ModularOperator.from_form(eisenstein(4))
     probe = eta_power(2).series
-    lhs = compose(compose(der, der), g4op)
-    rhs = compose(der, compose(der, g4op))
+    lhs = der.compose(der).compose(g4op)
+    rhs = der.compose(der.compose(g4op))
     out_l = apply_operator(lhs, [probe], F(1))[0]
     out_r = apply_operator(rhs, [probe], F(1))[0]
     assert (out_l - out_r).is_zero()
@@ -237,8 +237,8 @@ def test_operator_composition_associative_on_pool():
     rng = random.Random(20240811)
     for _ in range(40):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        lhs = compose(compose(a, b), c)
-        rhs = compose(a, compose(b, c))
+        lhs = a.compose(b).compose(c)
+        rhs = a.compose(b.compose(c))
         assert lhs.degree == a.degree + b.degree + c.degree
         out_l = apply_operator(lhs, [probe.series], probe.weight)[0]
         out_r = apply_operator(rhs, [probe.series], probe.weight)[0]
@@ -250,13 +250,13 @@ def test_compose_apply_consistency_and_associativity():
     g4op = ModularOperator.from_form(eisenstein(4))
     probe = eta_power(2)
     for a, b in [(der, g4op), (g4op, der), (der, der)]:
-        together = apply_operator(compose(a, b), [probe.series], probe.weight)[0]
+        together = apply_operator(a.compose(b), [probe.series], probe.weight)[0]
         stepwise = apply_operator(
             a, apply_operator(b, [probe.series], probe.weight),
             probe.weight + b.weight_raise)[0]
         assert (together - stepwise).is_zero()
-    lhs = compose(compose(der, g4op), der)
-    rhs = compose(der, compose(g4op, der))
+    lhs = der.compose(g4op).compose(der)
+    rhs = der.compose(g4op.compose(der))
     applied_l = apply_operator(lhs, [probe.series], probe.weight)[0]
     applied_r = apply_operator(rhs, [probe.series], probe.weight)[0]
     assert (applied_l - applied_r).is_zero()

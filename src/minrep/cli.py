@@ -199,7 +199,7 @@ _FACTOR_RE = re.compile(r"(?:(\d+(?:/\d+)?)|(G4|G6|D)(?:\^(\d+))?)$")
 
 
 def parse_operator(expr, order):
-    """Parse sums of coeff*G4^a*G6^b*D^n into a ModularOperator."""
+    """Parse sums of coeff*G4^a*G6^b*D^n, with a, b, n <= MAX_POWER, into a ModularOperator."""
     text = expr.replace(" ", "")
     if not text:
         raise ExpressionError("empty expression")
@@ -225,33 +225,36 @@ def parse_operator(expr, order):
             if number is not None:
                 try:
                     coeff *= Fraction(number)
-                except ZeroDivisionError:
-                    raise ExpressionError("zero denominator in %r" % factor) from None
+                except (ZeroDivisionError, ValueError):
+                    raise ExpressionError("zero denominator or too many digits in %.20r"
+                                          % factor) from None
             else:
-                power = int(power) if power else 1
+                power = _int(power) if power else 1
                 if name == "G4":
                     g4 += power
                 elif name == "G6":
                     g6 += power
                 else:
                     ndeg += power
+        if max(g4, g6, ndeg) > qseries.MAX_POWER:
+            raise ExpressionError("a power of G4, G6 or D is over %d" % qseries.MAX_POWER)
         form = qseries.ModularForm(
             Fraction(0), qseries.QSeries(0, (coeff,) + (Fraction(0),) * order)
         )
-        if g4:
-            form = form * _form_power(qseries.eisenstein(4, order), g4)
-        if g6:
-            form = form * _form_power(qseries.eisenstein(6, order), g6)
+        for k, power in ((4, g4), (6, g6)):
+            if power:
+                g = qseries.eisenstein(k, order)
+                form *= qseries.ModularForm(g.weight * power, qseries._pow_series(g.series, power))
         op = qseries.ModularOperator((None,) * ndeg + (form,))
         total = op if total is None else total + op
     return total
 
 
-def _form_power(form, exponent):
-    out = form
-    for _ in range(exponent - 1):
-        out = out * form
-    return out
+def _int(digits):
+    try:  # int() refuses strings of more than sys.get_int_max_str_digits() digits
+        return int(digits)
+    except ValueError:
+        raise ExpressionError("a number has too many digits") from None
 
 
 _BUILTIN_RE = re.compile(r"eta(?:\^(\d+))?$|G(\d+)$")
@@ -263,13 +266,13 @@ def parse_builtin_series(name, order):
         raise ExpressionError("unknown builtin series %r" % name)
     eta_pow, g_weight = match.groups()
     if g_weight is not None:
-        k = int(g_weight)
+        k = _int(g_weight)
         if k % 2 != 0 or k < 2:
             raise ExpressionError("Eisenstein weight must be even and >= 2")
         return qseries.eisenstein(k, order)
-    w = int(eta_pow) if eta_pow else 1
-    if w < 1:
-        raise ExpressionError("eta power must be >= 1")
+    w = _int(eta_pow) if eta_pow else 1
+    if not 1 <= w <= qseries.MAX_POWER:
+        raise ExpressionError("eta power must be in [1, %d]" % qseries.MAX_POWER)
     return qseries.eta_power(w, order)
 
 

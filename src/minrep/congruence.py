@@ -169,11 +169,10 @@ def min_congruence_dim(lv):
     """Product of the Nobs-Wolfart minima over the prime powers of N.
 
     Lower-bounds the dimension of a congruence representation whose T-image
-    has order N; returns 1 for N = 1.  Accepts a Level or a plain integer.
+    has order N, for the Level lv of N; returns 1 for N = 1.
     """
-    factorization = lv.factorization if isinstance(lv, Level) else factorize(lv)
     out = 1
-    for r, t in factorization:
+    for r, t in lv.factorization:
         out *= nw_min_dim(r, t)
     return out
 

@@ -10,6 +10,9 @@ with c_0 != 0 unless the series is zero through its window.  Addition
 requires the two exponents to differ by an integer (the series live on a
 common fractional lattice), except that a zero series on another lattice
 is absorbed exactly; a sum is known only as far as both summands are.
+A product is known through the shorter window and is computed as one
+integer convolution of the two windows' numerators over their lcm
+denominators.
 
 The graded ring M = C[G4, G6] of level-one modular forms is generated by
 the Eisenstein series, normalised as
@@ -36,7 +39,7 @@ the operator raises any input weight by w.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor
+from math import comb, factorial, floor, lcm
 
 from .errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
                      OddWeight, OutOfRange, WeightMismatch)
@@ -45,6 +48,8 @@ from .errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
 DEFAULT_ORDER = 40
 #: largest truncation order the qseries command accepts
 MAX_ORDER = 10_000
+#: largest G4, G6 or D exponent and eta power the qseries command accepts
+MAX_POWER = 100
 
 
 class QSeries:
@@ -154,18 +159,18 @@ class QSeries:
             return QSeries(self.offset, tuple(c * other for c in self.coeffs))
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            n = min(self.order, other.order)
-            return QSeries(self.offset + other.offset, (Fraction(0),) * (n + 1))
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
+        xs, da = _scaled(self.coeffs[: n + 1])
+        ys, db = _scaled(other.coeffs[: n + 1])
+        out = [0] * (n + 1)
+        for i, x in enumerate(xs):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return QSeries(self.offset + other.offset, out)
+            for j, y in enumerate(ys[: n + 1 - i]):
+                if y:
+                    out[i + j] += x * y
+        den = da * db
+        return QSeries(self.offset + other.offset, (Fraction(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -180,6 +185,12 @@ class QSeries:
         off = Fraction(0) if self.is_zero() else self.offset
         body = ", ".join(str(c) for c in self.coeffs)
         return "q^(%s/%s) * [%s]" % (off.numerator, off.denominator, body)
+
+
+def _scaled(coeffs):
+    """(numerators, den): the coefficients as integers over their lcm den."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _pow_series(series, w):

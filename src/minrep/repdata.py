@@ -162,7 +162,8 @@ def minimal_weight_identity(profile):
     s = profile.s
     if not (s == 1 or _is_prime(s)):
         raise NotPrimeCase("dimension %s is neither 1 nor prime" % s)
-    return profile.h == Fraction(12, s) * sum(profile.lam) + 1 - s
+    # the identity times s * big, with lambda_j = y_j / big
+    return profile.h * (s * profile.big) == 12 * sum(profile.y) + (1 - s) * s * profile.big
 
 
 def irreducibility_certificate(profile, cap=SUBSET_CAP):

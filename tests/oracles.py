@@ -163,6 +163,23 @@ def series_ratio(numer, denom):
     return ratio
 
 
+def series_product(off_a, coeffs_a, off_b, coeffs_b):
+    """(offset, coefficients) of the truncated product of two q-series.
+
+    The literal Fraction schoolbook product: the series q^off_a sum a_i q^i
+    and q^off_b sum b_j q^j are known through relative order
+    n = min(len(coeffs_a), len(coeffs_b)) - 1, so the product is known for
+    q^(off_a + off_b + k) with 0 <= k <= n and has coefficient
+    sum_{i + j = k} a_i b_j there.
+    """
+    a = [Fraction(c) for c in coeffs_a]
+    b = [Fraction(c) for c in coeffs_b]
+    n = min(len(a), len(b)) - 1
+    out = [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+           for k in range(n + 1)]
+    return Fraction(off_a) + Fraction(off_b), out
+
+
 def dim3_case_i_exponents(p, q):
     """Closed-form rho(T) exponents (r_1, r_2, r_3) of the label (p-2, q-3).
 

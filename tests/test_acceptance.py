@@ -17,10 +17,10 @@ import pytest
 
 from minrep import cli
 from minrep.congruence import (CONGRUENCE, NONCONGRUENCE, NW_DIMENSION_BOUND,
-                               boundary_prime_power_criterion,
+                               Level, boundary_prime_power_criterion,
                                classify_low_dim, congruence_verdict,
-                               distinct_primes_criterion, fast_level, level,
-                               min_congruence_dim, prime_power_criterion)
+                               distinct_primes_criterion, factorize, fast_level,
+                               level, min_congruence_dim, prime_power_criterion)
 from minrep.core import ModuleLabel, list_modules, models, validate_model
 from minrep.fusion import self_coupled_partners
 from minrep.qseries import eisenstein, eta_power, modular_derivative
@@ -190,7 +190,8 @@ def test_criterion_09_criterion_consistency():
         for label in _acting(model):
             m, n = label.m, label.n
             s = (p - m) * (q - n) // 2
-            cert_fires = s < min_congruence_dim(fast_level(p, q, m, n))
+            N = fast_level(p, q, m, n)
+            cert_fires = s < min_congruence_dim(Level(N, factorize(N)))
             checked += 1
             if prime_power_criterion(model, label).holds and not cert_fires:
                 failures.append(("prime-power", p, q, m, n))

@@ -337,6 +337,23 @@ def test_cli_qseries_parse_errors(capsys):
     capsys.readouterr()
     assert cli.main(["qseries", "--expr", "D", "--apply", "eta^0"]) == 65
     capsys.readouterr()
+    # powers over MAX_POWER and digit strings too long for int() are
+    # expression errors, rejected before any series is built
+    for expr, target in (("G4^%d" % (qseries.MAX_POWER + 1), "G4"),
+                         ("G4^60*G4^41", "G4"),
+                         ("D^%d" % (qseries.MAX_POWER + 1), "G4"),
+                         ("D", "eta^%d" % (qseries.MAX_POWER + 1)),
+                         ("1" * 5000 + "*G4", "G4"),
+                         ("1/" + "1" * 5000, "G4"),
+                         ("G4^" + "1" * 5000, "G4"),
+                         ("D", "eta^" + "1" * 5000),
+                         ("D", "G" + "2" * 5000)):
+        assert cli.main(["qseries", "--expr", expr, "--apply", target, "--order", "10"]) == 65
+        assert capsys.readouterr().err.startswith("expression error: ")
+    top = qseries.MAX_POWER
+    assert cli.main(["qseries", "--expr", "G4^%d*G6^%d*D^%d" % (top, top, top),
+                     "--apply", "eta^%d" % top, "--order", "3"]) == 0
+    capsys.readouterr()
     # orders outside [1, MAX_ORDER] are usage errors, rejected before any work
     for order in (10 ** 30, qseries.MAX_ORDER + 1):
         assert cli.main(["qseries", "--expr", "D", "--apply", "eta",

@@ -105,9 +105,9 @@ def test_nw_min_dim_table():
 
 def test_min_congruence_dim_products():
     assert min_congruence_dim(Level(60, factorize(60))) == 2
-    assert min_congruence_dim(84) == 3
-    assert min_congruence_dim(280) == 12
-    assert min_congruence_dim(1) == 1
+    assert min_congruence_dim(Level(84, factorize(84))) == 3
+    assert min_congruence_dim(Level(280, factorize(280))) == 12
+    assert min_congruence_dim(Level(1, factorize(1))) == 1
 
 
 def test_nw_certificate_examples():
@@ -269,23 +269,23 @@ def test_shape_table_drives_low_dim_classification():
 
 def test_nu_and_factorize_reject_bad_input_under_python_O():
     # nu(5, 0) and qseries._pow_series(s, -1) used to loop forever under
-    # -O, where their asserts vanished, and factorize(0) returned (), so
-    # min_congruence_dim(0) gave 1
+    # -O, where their asserts vanished, and factorize(0) returned (), so a
+    # zero level got the minimal congruence dimension 1
     series = eta_power(1, 4).series
     for call in (lambda: nu(5, 0), lambda: nu(1, 5), lambda: factorize(0),
-                 lambda: min_congruence_dim(0), lambda: _pow_series(series, -1)):
+                 lambda: _pow_series(series, -1)):
         with pytest.raises(OutOfRange):
             call()
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = textwrap.dedent("""
         import sys
-        from minrep.congruence import factorize, min_congruence_dim, nu
+        from minrep.congruence import factorize, nu
         from minrep.errors import OutOfRange
         from minrep.qseries import _pow_series, eta_power
         print("optimize", sys.flags.optimize)
         series = eta_power(1, 4).series
         for call in (lambda: nu(5, 0), lambda: factorize(0),
-                     lambda: min_congruence_dim(0), lambda: _pow_series(series, -1)):
+                     lambda: _pow_series(series, -1)):
             try:
                 call()
             except OutOfRange:
@@ -294,7 +294,7 @@ def test_nu_and_factorize_reject_bad_input_under_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=30,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:5] == ["optimize 1", "raised", "raised", "raised", "raised"]
+    assert out.split("\n")[:4] == ["optimize 1", "raised", "raised", "raised"]
 
 
 def test_congruence_verdict_examples():

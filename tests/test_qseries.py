@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minrep import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
                     apply_operator, bernoulli, eisenstein, eta_power,
                     modular_derivative)
 from minrep.errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
                            OddWeight, OutOfRange, WeightMismatch)
+
+from oracles import series_product
 
 F = Fraction
 
@@ -285,6 +287,27 @@ def test_multiplication_distributes(a, b, c):
     lhs = a * (b + c)
     rhs = a * b + a * c
     assert (lhs - rhs).is_zero()
+
+
+# mixed denominators, negative entries and zeros; a leading zero shifts the
+# window, and an all-zero list gives a zero operand
+_window = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+    min_size=1, max_size=9)
+_offsets = st.fractions(min_value=-3, max_value=3, max_denominator=24)
+
+
+@given(_offsets, _window, _offsets, _window)
+@example(F(1, 3), [F(0), F(0), F(0)], F(-1, 2), [F(1, 2), F(0), F(-2, 3), F(5, 7)])
+@settings(max_examples=200)
+def test_multiplication_matches_schoolbook_oracle(off_a, coeffs_a, off_b, coeffs_b):
+    a, b = QSeries(off_a, coeffs_a), QSeries(off_b, coeffs_b)
+    # QSeries drops leading zeros into the offset, so the oracle sees the
+    # stored windows, whose lengths may differ
+    want = QSeries(*series_product(a.offset, a.coeffs, b.offset, b.coeffs))
+    got = a * b
+    # == treats every zero series as equal, so compare the windows themselves
+    assert (got.offset, got.coeffs) == (want.offset, want.coeffs)
 
 
 @given(_series())

@@ -123,8 +123,7 @@ def analyze(p, q, m, n):
         "criterion": verdict.criterion,
         "details": verdict.details,
     }
-    cmp_cert = cert if cert != NOT_COMPUTED else "inconclusive"
-    spaces = space_comparison(profile, cmp_cert)
+    spaces = space_comparison(profile, cert)
     record["spaces"] = {
         "status": spaces.status,
         "lambda_flags": list(spaces.lambda_flags),

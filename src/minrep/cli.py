@@ -20,8 +20,7 @@ from multiprocessing import Pool
 
 from . import analysis, qseries, selftest
 from .core import list_modules, models
-from .errors import (ExpressionError, InhomogeneousOperator, MinrepError,
-                     OddWeight, WeightMismatch)
+from .errors import ExpressionError, InhomogeneousOperator, MinrepError, OddWeight
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -213,8 +212,6 @@ def parse_operator(expr, order):
             if term[0] == "-":
                 sign = Fraction(-1)
             term = term[1:]
-        if not term:
-            raise ExpressionError("empty term in %r" % expr)
         coeff = sign
         g4 = g6 = ndeg = 0
         for factor in term.split("*"):
@@ -267,8 +264,9 @@ def parse_builtin_series(name, order):
     eta_pow, g_weight = match.groups()
     if g_weight is not None:
         k = _int(g_weight)
-        if k % 2 != 0 or k < 2:
-            raise ExpressionError("Eisenstein weight must be even and >= 2")
+        if k % 2 != 0 or not 2 <= k <= qseries.MAX_POWER:
+            raise ExpressionError("Eisenstein weight must be even and in [2, %d]"
+                                  % qseries.MAX_POWER)
         return qseries.eisenstein(k, order)
     w = _int(eta_pow) if eta_pow else 1
     if not 1 <= w <= qseries.MAX_POWER:
@@ -290,7 +288,7 @@ def cmd_qseries(args):
         target = parse_builtin_series(args.target, order)
         operator = parse_operator(args.expr, order)
         result = qseries.apply_operator(operator, [target.series], target.weight)[0]
-    except (ExpressionError, InhomogeneousOperator, OddWeight, WeightMismatch) as exc:
+    except (ExpressionError, InhomogeneousOperator, OddWeight) as exc:
         print("expression error: %s" % exc, file=sys.stderr)
         return EXIT_EXPRESSION
     print(result.serialize())

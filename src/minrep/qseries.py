@@ -39,6 +39,7 @@ the operator raises any input weight by w.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, factorial, floor, lcm
 
 from .errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
@@ -150,8 +151,6 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return self + (-other)
 
     def __mul__(self, other):
@@ -245,12 +244,6 @@ class ModularForm:
             )
         return ModularForm(self.weight, self.series + other.series)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ModularForm(self.weight, -self.series)
-
     def __mul__(self, other):
         if isinstance(other, ModularForm):
             return ModularForm(self.weight + other.weight, self.series * other.series)
@@ -328,7 +321,7 @@ class ModularOperator:
     raises weight by two.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "weight_raise")
 
     def __init__(self, coeffs):
         cs = list(coeffs)
@@ -346,6 +339,8 @@ class ModularOperator:
                     "slot %s has weight %s, expected %s" % (i, phi.weight, raise_to - 2 * i)
                 )
         object.__setattr__(self, "coeffs", tuple(cs))
+        # how much the operator raises input weight; None for the zero map
+        object.__setattr__(self, "weight_raise", raise_to)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModularOperator is immutable")
@@ -368,45 +363,19 @@ class ModularOperator:
     def degree(self):
         return len(self.coeffs) - 1
 
-    @property
-    def weight_raise(self):
-        """How much the operator raises input weight; None for the zero map."""
-        for i, phi in enumerate(self.coeffs):
-            if phi is not None:
-                return Fraction(phi.weight) + 2 * i
-        return None
-
-    def is_zero(self):
-        return all(phi is None or phi.is_zero() for phi in self.coeffs)
-
     def __add__(self, other):
         if not isinstance(other, ModularOperator):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else None
-            y = b[i] if i < len(b) else None
-            if x is None:
-                out.append(y)
-            elif y is None:
-                out.append(x)
-            else:
-                try:
-                    out.append(x + y)
-                except WeightMismatch as exc:
-                    raise InhomogeneousOperator(str(exc)) from None
-        return ModularOperator(out)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
+        ra, rb = self.weight_raise, other.weight_raise
+        if ra is not None and rb is not None and ra != rb:
+            raise InhomogeneousOperator(
+                "cannot add operators raising weight by %s and %s" % (ra, rb)
+            )
+        # equal raises give slot i the weight raise - 2i on both sides
         return ModularOperator(
-            tuple(None if phi is None else phi * scalar for phi in self.coeffs)
+            y if x is None else x if y is None else x + y
+            for x, y in zip_longest(self.coeffs, other.coeffs)
         )
-
-    __rmul__ = __mul__
 
     def compose(self, other):
         """self after other, via D phi = phi D + (D_wt phi)."""
@@ -438,26 +407,13 @@ def _one_form(order):
 
 
 def apply_operator(op, components, weight):
-    """Apply the operator componentwise to series of a common weight.
+    """Apply the operator componentwise to QSeries of one declared weight.
 
-    components may be QSeries (the weight argument declares their common
-    weight) or ModularForm (each checked against the declared weight).
     Returns a list of QSeries; the output weight is weight + raise.
     """
     weight = Fraction(weight)
-    series = []
-    for f in components:
-        if isinstance(f, ModularForm):
-            if f.weight != weight:
-                raise WeightMismatch(
-                    "component weight %s does not match declared weight %s"
-                    % (f.weight, weight)
-                )
-            series.append(f.series)
-        else:
-            series.append(f)
     out = []
-    for f in series:
+    for f in components:
         acc = None
         df, w = f, weight
         for i, phi in enumerate(op.coeffs):

@@ -166,7 +166,7 @@ def minimal_weight_identity(profile):
     return profile.h * (s * profile.big) == 12 * sum(profile.y) + (1 - s) * s * profile.big
 
 
-def irreducibility_certificate(profile, cap=SUBSET_CAP):
+def irreducibility_certificate(profile):
     """Sufficient irreducibility test over the eigenvalues of rho(T).
 
     Returns "irreducible" when no proper nonempty subset S of the r_j has
@@ -182,11 +182,11 @@ def irreducibility_certificate(profile, cap=SUBSET_CAP):
     There are at most min(2^(s-1), D) such residues, and the store follows
     the smaller bound: a D-bit integer, rotated once per element, when
     D <= 2^s, and a set of residues otherwise, so time and memory never
-    grow with D beyond 2^s.  Dimensions above the cap raise SubsetBlowup.
+    grow with D beyond 2^s.  Dimensions above SUBSET_CAP raise SubsetBlowup.
     """
     s = profile.s
-    if s > cap:
-        raise SubsetBlowup("dimension %s exceeds the subset cap %s" % (s, cap))
+    if s > SUBSET_CAP:
+        raise SubsetBlowup("dimension %s exceeds the subset cap %s" % (s, SUBSET_CAP))
     d = profile.big // 12
     xs = [v % d for v in profile.x[:-1]]
     target = sum(profile.x) % d

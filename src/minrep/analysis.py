@@ -106,8 +106,7 @@ def analyze(p, q, m, n):
     record["lambda"] = lam
     record["r"] = [ratio_str(xj, big) for xj in profile.x]
     record["level"] = verdict.details["level"]
-    factorization = verdict.details["level_factorization"]
-    record["level_factorization"] = [list(f) for f in factorization]
+    record["level_factorization"] = verdict.details["level_factorization"]
     record["irreducibility"] = cert
 
     if profile.s <= 3 and cert == IRREDUCIBLE:
@@ -159,31 +158,15 @@ def _plain(value):
     return str(value)
 
 
-def record_to_csv_row(record):
-    row = {}
-    for col in CSV_COLUMNS:
-        if col == "verdict_status":
-            v = record.get("verdict")
-            row[col] = v["status"] if v else ""
-        elif col == "verdict_criterion":
-            v = record.get("verdict")
-            row[col] = v["criterion"] if v else ""
-        elif col == "spaces_status":
-            sp = record.get("spaces")
-            row[col] = sp["status"] if sp else ""
-        elif col == "ratio_check":
-            sp = record.get("spaces")
-            val = sp["ratio_check"] if sp else None
-            row[col] = "" if val is None else str(val).lower()
-        elif col in ("lambda", "r", "alpha"):
-            val = record.get(col)
-            row[col] = ";".join(val) if val else ""
-        else:
-            val = record.get(col, "")
-            if isinstance(val, bool):
-                val = str(val).lower()
-            row[col] = "" if val is None else val
-    return row
+def _csv_cell(value):
+    """One CSV cell: None is "", a bool "true" or "false", a list ";"-joined."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    return value
 
 
 class _Echo:
@@ -194,17 +177,22 @@ class _Echo:
         return text
 
 
-_CSV_WRITER = csv.DictWriter(_Echo(), fieldnames=CSV_COLUMNS, lineterminator="\n")
+_CSV_WRITER = csv.writer(_Echo(), lineterminator="\n")
 
 
 def record_to_csv_line(record):
     """The CSV line of one record, with its newline."""
-    return _CSV_WRITER.writerow(record_to_csv_row(record))
+    verdict = record.get("verdict", {})
+    spaces = record.get("spaces", {})
+    row = dict(record, verdict_status=verdict.get("status"),
+               verdict_criterion=verdict.get("criterion"),
+               spaces_status=spaces.get("status"), ratio_check=spaces.get("ratio_check"))
+    return _CSV_WRITER.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
 
 
 def records_to_csv(records):
     """CSV lines of the records: the header line, then one line per record
     as it is drawn from the iterable records."""
-    yield _CSV_WRITER.writeheader()
+    yield _CSV_WRITER.writerow(CSV_COLUMNS)
     for record in records:
         yield record_to_csv_line(record)

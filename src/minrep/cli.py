@@ -20,7 +20,7 @@ from multiprocessing import Pool
 
 from . import analysis, qseries, selftest
 from .core import list_modules, models
-from .errors import ExpressionError, InhomogeneousOperator, MinrepError, OddWeight
+from .errors import ExpressionError, InhomogeneousOperator, MinrepError
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -74,13 +74,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "scan":
@@ -288,7 +283,7 @@ def cmd_qseries(args):
         target = parse_builtin_series(args.target, order)
         operator = parse_operator(args.expr, order)
         result = qseries.apply_operator(operator, [target.series], target.weight)[0]
-    except (ExpressionError, InhomogeneousOperator, OddWeight) as exc:
+    except (ExpressionError, InhomogeneousOperator) as exc:
         print("expression error: %s" % exc, file=sys.stderr)
         return EXIT_EXPRESSION
     print(result.serialize())

@@ -25,14 +25,16 @@ partner list is kept in lexicographic (m_j, n_j) order and every exponent
 vector computed downstream inherits that order.
 """
 
+from .core import _check_label_range
 from .errors import NonCanonicalLabel, OutOfRange
+
+#: the largest dimension s whose partner box is built
+MAX_DIMENSION = 100_000
 
 
 def _require_acting(model, label):
     m, n = label.m, label.n
-    if not (1 <= m <= model.p - 1 and 1 <= n <= model.q - 1):
-        raise OutOfRange("label (%s, %s) out of range for (p, q) = (%s, %s)"
-                         % (m, n, model.p, model.q))
+    _check_label_range(model, m, n)
     if m % 2 == 0 or n % 2 == 0:
         raise NonCanonicalLabel(
             "label (%s, %s) is not an acting label: m and n must both be odd" % (m, n)
@@ -46,16 +48,19 @@ def self_coupled_partners(model, label):
     The pairs live in the half-range m_j >= (p+1)/2; they are deliberately
     not canonicalised to odd m_j, which would double count flip classes.
     Completeness against brute force enumeration of the rules over the full
-    index range modulo the flip is exercised by the test suite.
+    index range modulo the flip is exercised by the test suite.  Raises
+    OutOfRange when s exceeds MAX_DIMENSION.
     """
-    _require_acting(model, label)
+    s = rep_dimension(model, label)
+    if s > MAX_DIMENSION:
+        raise OutOfRange("dimension %s exceeds MAX_DIMENSION = %d" % (s, MAX_DIMENSION))
     p, q, m, n = model.p, model.q, label.m, label.n
     pairs = tuple(
         (mj, nj)
         for mj in range((p + 1) // 2, p - (m + 1) // 2 + 1)
         for nj in range((n + 1) // 2, q - (n + 1) // 2 + 1)
     )
-    if len(pairs) != (p - m) * (q - n) // 2:
+    if len(pairs) != s:
         raise AssertionError("label (%s, %s) has %d partners, not (p - m)(q - n)/2"
                              % (m, n, len(pairs)))
     return pairs

@@ -346,10 +346,6 @@ class ModularOperator:
         raise AttributeError("ModularOperator is immutable")
 
     @classmethod
-    def identity(cls, order=DEFAULT_ORDER):
-        return cls.from_form(_one_form(order))
-
-    @classmethod
     def from_form(cls, form):
         """Multiplication by a modular form, as a degree-0 operator."""
         return cls((form,))
@@ -358,10 +354,6 @@ class ModularOperator:
     def derivative(cls, order=DEFAULT_ORDER):
         """The bare D, a degree-1 operator with coefficient 1."""
         return cls((None, _one_form(order)))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def __add__(self, other):
         if not isinstance(other, ModularOperator):

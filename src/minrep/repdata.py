@@ -20,16 +20,18 @@ The profile stores only the integer numerators over M = 48 p q,
 
 with a_j = n_j p - m_j q; the Fraction tuples are derived on demand.
 
-When s is 1 or a prime, the label has one of two shapes and the exponents
-admit closed forms in (p, q, s, j); in either shape the identity
+Every acting label satisfies the identity
 
-    h_{m,n} = 12 (sum_j lambda_j) / s + 1 - s
+    h_{m,n} = 12 (sum_j lambda_j) / s + 1 - s,
 
-holds, which says the generating vector sits in the minimal weight of its
-cyclic module.  A sufficient irreducibility test: rho is irreducible if no
-proper nonempty subset of the r_j sums to an element of (1/12) Z, since any
-subrepresentation would contribute its determinant, a character of SL2(Z),
-and all such characters take twelfth roots of unity on T.
+the weight count of the Wronskian of its 1-point functions (Mason, IJNT
+2007): the generating vector sits in the minimal weight of its cyclic
+module.  When s is 1 or a prime, the label has one of two shapes and the
+exponents admit closed forms in (p, q, s, j).  A sufficient irreducibility
+test: rho is irreducible if no proper nonempty subset of the r_j sums to
+an element of (1/12) Z, since any subrepresentation would contribute its
+determinant, a character of SL2(Z), and all such characters take twelfth
+roots of unity on T.
 """
 
 from dataclasses import dataclass
@@ -156,12 +158,10 @@ def prime_case_closed_forms(model, label):
 def minimal_weight_identity(profile):
     """Whether h_{m,n} = 12 (sum lambda_j)/s + 1 - s holds exactly.
 
-    Only meaningful (and provable) for s = 1 or s prime; raises
-    NotPrimeCase otherwise.
+    It holds for every s (the Wronskian weight count in the module
+    docstring), so False flags a bug in the exponents.
     """
     s = profile.s
-    if not (s == 1 or _is_prime(s)):
-        raise NotPrimeCase("dimension %s is neither 1 nor prime" % s)
     # the identity times s * big, with lambda_j = y_j / big
     return profile.h * (s * profile.big) == 12 * sum(profile.y) + (1 - s) * s * profile.big
 

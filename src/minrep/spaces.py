@@ -172,12 +172,10 @@ def space_comparison(profile, certificate=None):
     if case in _WINDOWS:
         ratio_check = ratio_in_window(case, Fraction(model.q, model.p))
 
-    if any(f == FLAG_NEGATIVE for f in flags):
-        if profile.s <= 3:
-            return SpaceComparison(GENERATOR_NOT_HOLOMORPHIC, flags, ratio_check)
-        return SpaceComparison(WINDOW_FACTS_ONLY, flags, ratio_check)
     if profile.s > 3:
         return SpaceComparison(WINDOW_FACTS_ONLY, flags, ratio_check)
+    if FLAG_NEGATIVE in flags:
+        return SpaceComparison(GENERATOR_NOT_HOLOMORPHIC, flags, ratio_check)
     if certificate is None:
         certificate = irreducibility_certificate(profile)
     if certificate != IRREDUCIBLE:

@@ -288,6 +288,31 @@ def test_public_names_resolve_and_match_the_imports():
     assert imported and imported <= set(minrep.__all__)
 
 
+def test_package_modules_use_every_name_they_import():
+    # no linter is installed, so unused imports are caught here; a binding
+    # that perfbench's tracer replaces by name counts as used
+    tracer_path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    kept = {(module, attr) for module, attr, _ in tracer.SITES}
+    paths = glob.glob(os.path.join(os.path.dirname(minrep.__file__), "*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        module = "minrep." + os.path.basename(path)[:-3]
+        if module == "minrep.__init__":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name for name in imported - used if (module, name) not in kept}
+        assert not unused, (module, sorted(unused))
+
+
 def test_package_source_has_no_assert_statements():
     # python -O strips assert statements, so invariants raise explicitly
     paths = glob.glob(os.path.join(os.path.dirname(minrep.__file__), "*.py"))
@@ -297,6 +322,21 @@ def test_package_source_has_no_assert_statements():
             tree = ast.parse(fh.read(), path)
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, (path, asserts)
+
+
+def test_cli_analyze_rejects_a_dimension_over_the_cap():
+    # s = (p - 1)(q - 1)/2 is about 5 * 10^9 here: the cap must refuse it
+    # before the partner box is built, so a 256 MB address-space limit is
+    # never approached
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+              "from minrep import cli\n"
+              "print(cli.main(['analyze', '--p', '100003', '--q', '100000', "
+              "'--m', '1', '--n', '1']))\n")
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout.strip() == "2", run.stderr
+    assert "MAX_DIMENSION" in run.stderr
 
 
 def test_cli_qseries_annihilation(capsys):

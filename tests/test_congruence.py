@@ -10,8 +10,9 @@ import pytest
 
 import minrep
 from minrep import (ModuleLabel, boundary_prime_power_criterion,
-                    classify_low_dim, congruence_verdict,
-                    distinct_primes_criterion, level, list_modules,
+                    canonical_label, classify_low_dim, congruence_verdict,
+                    distinct_primes_criterion, irreducibility_certificate,
+                    level, list_modules,
                     min_congruence_dim, nw_min_dim, prime_power_criterion,
                     rep_profile, validate_model)
 from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
@@ -26,10 +27,10 @@ from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
 from minrep.core import models
 from minrep.fusion import rep_dimension
 from minrep.qseries import _pow_series, eta_power
-from minrep.repdata import prime_case_closed_forms
+from minrep.repdata import SUBSET_CAP, prime_case_closed_forms
 from minrep.selftest import suite_lemmas
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
-                           low_dim_case)
+                           low_dim_case, space_comparison)
 from minrep.errors import DimensionTooLarge, NotPrime, OutOfRange
 
 from oracles import fraction_level, valuation_lemma
@@ -380,3 +381,36 @@ def test_verdict_invariant_survives_python_O():
                          capture_output=True, text=True, check=True).stdout
     assert "optimize 1" in out
     assert "raised: arithmetic criterion fired without the dimension bound" in out
+
+
+def test_transposed_models_agree_label_by_label():
+    # for odd p and q, V(p, q) and V(q, p) are one model listed twice; the
+    # label (m, n) of one is the label (n, m) of the other
+    pairs = 0
+    for p in range(3, 21, 2):
+        for q in range(p + 2, 21, 2):
+            if gcd(p, q) != 1:
+                continue
+            model, transposed = validate_model(p, q), validate_model(q, p)
+            assert (transposed.p, transposed.q) == (q, p)
+            for label in list_modules(model):
+                if not label.is_acting:
+                    continue
+                other = canonical_label(transposed, label.n, label.m)
+                a, b = rep_profile(model, label), rep_profile(transposed, other)
+                assert a.s == b.s
+                assert sorted(a.r) == sorted(b.r)
+                assert level(a).N == level(b).N
+                va = congruence_verdict(model, label, a)
+                vb = congruence_verdict(transposed, other, b)
+                assert (va.status, va.criterion) == (vb.status, vb.criterion)
+                assert (set(va.details["agreeing_criteria"])
+                        == set(vb.details["agreeing_criteria"]))
+                cert_a = cert_b = None
+                if a.s <= SUBSET_CAP:
+                    cert_a, cert_b = irreducibility_certificate(a), irreducibility_certificate(b)
+                    assert cert_a == cert_b
+                assert (space_comparison(a, cert_a).status
+                        == space_comparison(b, cert_b).status)
+                pairs += 1
+    assert pairs == 817

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from minrep import (MinimalModel, ModuleLabel, canonical_label, central_charge,
-                    conformal_weight, list_modules, validate_model)
+                    classify_low_dim, conformal_weight, congruence_verdict,
+                    list_modules, rep_dimension, rep_profile,
+                    self_coupled_partners, validate_model)
 from minrep.core import models
 from minrep.errors import BothEven, MinrepError, NotAnInteger, NotCoprime, OutOfRange
 
@@ -41,6 +43,12 @@ def test_non_integer_indices_are_rejected():
             canonical_label(model, m, n)
         with pytest.raises(NotAnInteger):
             conformal_weight(model, m, n)
+        # the label-taking layers check the type too, not only the range
+        label = ModuleLabel(m, n)
+        for func in (rep_dimension, self_coupled_partners, rep_profile,
+                     congruence_verdict, classify_low_dim):
+            with pytest.raises(NotAnInteger):
+                func(model, label)
     assert issubclass(NotAnInteger, MinrepError)
 
 

@@ -176,13 +176,13 @@ def test_operator_compose_leibniz():
     g4op = ModularOperator.from_form(eisenstein(4))
     composed = der.compose(g4op)
     g6 = eisenstein(6)
-    assert composed.degree == 1
+    assert len(composed.coeffs) == 2
     assert (composed.coeffs[0].series - g6.series * 14).is_zero()
     assert (composed.coeffs[1].series - eisenstein(4).series).is_zero()
 
 
 def test_identity_operator():
-    ident = ModularOperator.identity()
+    ident = ModularOperator.from_form(ModularForm(F(0), QSeries(0, [1] + [0] * DEFAULT_ORDER)))
     g4 = eisenstein(4)
     out = apply_operator(ident, [g4.series], 4)[0]
     assert (out - g4.series).is_zero()
@@ -249,7 +249,7 @@ def test_operator_composition_associative_on_pool():
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         lhs = a.compose(b).compose(c)
         rhs = a.compose(b.compose(c))
-        assert lhs.degree == a.degree + b.degree + c.degree
+        assert len(lhs.coeffs) - 1 == sum(len(x.coeffs) - 1 for x in (a, b, c))
         out_l = apply_operator(lhs, [probe.series], probe.weight)[0]
         out_r = apply_operator(rhs, [probe.series], probe.weight)[0]
         assert (out_l - out_r).is_zero()

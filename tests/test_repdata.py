@@ -15,7 +15,8 @@ from minrep import (ModuleLabel, analysis, irreducibility_certificate,
                     minimal_weight_identity, minimal_weight_profile,
                     prime_case_closed_forms, rep_profile, validate_model)
 from minrep.core import list_modules, models
-from minrep.errors import (IrreducibilityUnknown, NotPrimeCase,
+from minrep.fusion import MAX_DIMENSION, rep_dimension
+from minrep.errors import (IrreducibilityUnknown, NotPrimeCase, OutOfRange,
                            OutOfScopeDimension, SubsetBlowup)
 from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, SUBSET_CAP, RepProfile
 from oracles import brute_certificate, kac_central_charge, kac_exponents, kac_weight
@@ -108,6 +109,22 @@ def test_minimal_weight_identity_examples():
     for p, q, m, n in [(5, 2, 3, 1), (5, 7, 3, 5), (3, 4, 1, 3)]:
         profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
         assert minimal_weight_identity(profile)
+    # and on every acting label of a small grid, composite s included
+    composite = 0
+    for model in models(20, 20):
+        for label in list_modules(model):
+            if label.is_acting:
+                profile = rep_profile(model, label)
+                assert minimal_weight_identity(profile), (model, label)
+                composite += profile.s > 3 and not _is_prime(profile.s)
+    assert composite > 0
+
+
+def test_dimension_cap_before_the_partner_box():
+    # s = 224 * 447 = 100128 > MAX_DIMENSION; the box is never built
+    assert rep_dimension(validate_model(449, 448), ModuleLabel(1, 1)) > MAX_DIMENSION
+    with pytest.raises(OutOfRange, match="MAX_DIMENSION"):
+        rep_profile(validate_model(449, 448), ModuleLabel(1, 1))
 
 
 def test_minimal_weight_profile_examples():

@@ -113,17 +113,24 @@ def fast_level(p, q, m, n):
     combination of the values at the box points with i + j <= 2, and the
     gcd over the whole box is the gcd over that corner (Polya's fixed
     divisor, 1915).  The corner must be clipped to the box: boxes one or
-    two wide are common (m = p - 2 gives width 1).
+    two wide are common (m = p - 2 gives width 1).  The gcd is read off the
+    difference table itself, with f = 12 (a0 + j p - i q)^2 + const:
+    f(0, 0), D_j f = 12 p (2 a0 + p), D_j^2 f = 24 p^2, D_i f = 12 q (q - 2 a0),
+    D_i^2 f = 24 q^2 and D_i D_j f = -24 p q, each kept only inside the box
+    (a dropped difference enters the gcd as 0).
     """
     big = 48 * p * q
-    k0 = (p - q) ** 2 - 2 * p * q - (n * p - m * q) ** 2
     a0 = (n + 1) // 2 * p - (p + 1) // 2 * q
-    g = 0
-    for i in range(min(3, (p - m) // 2)):
-        for j in range(min(3 - i, q - n)):
-            a = a0 + j * p - i * q
-            g = gcd(g, 12 * a * a + k0)
-    return big // gcd(big, g)
+    wi, wj = (p - m) // 2, q - n
+    return big // gcd(
+        big,
+        12 * a0 * a0 + (p - q) ** 2 - 2 * p * q - (n * p - m * q) ** 2,
+        12 * p * (2 * a0 + p) if wj > 1 else 0,
+        24 * p * p if wj > 2 else 0,
+        12 * q * (q - 2 * a0) if wi > 1 else 0,
+        24 * q * q if wi > 2 else 0,
+        24 * p * q if wi > 1 and wj > 1 else 0,
+    )
 
 
 def level(profile):

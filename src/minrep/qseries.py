@@ -60,7 +60,7 @@ class QSeries:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, offset, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a QSeries needs at least one coefficient")
         offset = Fraction(offset)

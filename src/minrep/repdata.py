@@ -112,47 +112,36 @@ def _is_prime(n):
 
 
 def prime_case_closed_forms(model, label):
-    """Closed-form (lambda_j) and (r_j) when s is 1 or prime.
+    """Closed-form exponent numerators when s is 1 or prime.
 
-    Returns (case, lambdas, rs) with case one of "coincident" (s = 1),
-    "i" (m = p-2, n = q-s) or "ii" (m = p-2s, n = q-1).  The j index runs
-    1..s and coincides with the lexicographic partner order, so the lists
-    match rep_profile entrywise.
+    Returns (case, y, x) with case one of "coincident" (s = 1), "i"
+    (m = p-2, n = q-s) or "ii" (m = p-2s, n = q-1), and y, x the integer
+    numerators of (lambda_j) and (r_j) over big = 48 p q, as in RepProfile.
+    The j index runs 1..s and coincides with the lexicographic partner
+    order, so the tuples match rep_profile entrywise.
     """
     p, q = model.p, model.q
     m, n = label.m, label.n
     s = rep_dimension(model, label)
     if not (s == 1 or _is_prime(s)):
         raise NotPrimeCase("dimension %s is neither 1 nor prime" % s)
+    js = range(1, s + 1)
     if m == p - 2 and n == q - s:
         case = "coincident" if s == 1 else "i"
-        lam = tuple(
-            Fraction(3 * (1 + s - 2 * j) ** 2 * p * p
-                     + 2 * (2 + 3 * s - 6 * j) * p * q
-                     + 3 * q * q, 48 * p * q)
-            for j in range(1, s + 1)
-        )
-        r = tuple(
-            Fraction((3 * (2 * j - (s + 1)) ** 2 + 1 - s * s) * p
-                     + 2 * (1 + 5 * s - 6 * j) * q, 48 * q)
-            for j in range(1, s + 1)
-        )
+        y = tuple(3 * (1 + s - 2 * j) ** 2 * p * p + 2 * (2 + 3 * s - 6 * j) * p * q
+                  + 3 * q * q for j in js)
+        x = tuple(p * ((3 * (2 * j - s - 1) ** 2 + 1 - s * s) * p
+                       + 2 * (1 + 5 * s - 6 * j) * q) for j in js)
     elif m == p - 2 * s and n == q - 1:
         case = "coincident" if s == 1 else "ii"
-        lam = tuple(
-            Fraction(3 * (1 - 2 * j) ** 2 * q - 2 * p, 48 * p)
-            for j in range(1, s + 1)
-        )
-        r = tuple(
-            Fraction((3 * (1 - 2 * j) ** 2 + 1 - 4 * s * s) * q
-                     + 4 * (s - 1) * p, 48 * p)
-            for j in range(1, s + 1)
-        )
+        y = tuple(q * (3 * (1 - 2 * j) ** 2 * q - 2 * p) for j in js)
+        x = tuple(q * ((3 * (1 - 2 * j) ** 2 + 1 - 4 * s * s) * q + 4 * (s - 1) * p)
+                  for j in js)
     else:
         raise NotPrimeCase(
             "label (%s, %s) does not match a prime-dimension shape" % (m, n)
         )
-    return case, lam, r
+    return case, y, x
 
 
 def minimal_weight_identity(profile):
@@ -161,9 +150,9 @@ def minimal_weight_identity(profile):
     It holds for every s (the Wronskian weight count in the module
     docstring), so False flags a bug in the exponents.
     """
-    s = profile.s
-    # the identity times s * big, with lambda_j = y_j / big
-    return profile.h * (s * profile.big) == 12 * sum(profile.y) + (1 - s) * s * profile.big
+    s, big, h = profile.s, profile.big, profile.h
+    # the identity times s * big * den(h), with lambda_j = y_j / big
+    return h.numerator * s * big == (12 * sum(profile.y) + (1 - s) * s * big) * h.denominator
 
 
 def irreducibility_certificate(profile):

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from . import qseries
 from .congruence import factorize, fast_level, nu
-from .core import ModuleLabel, list_modules, models
-from .fusion import rep_dimension
+from .core import ModuleLabel, models
 from .repdata import (_is_prime, minimal_weight_identity,
                       prime_case_closed_forms, rep_profile)
 from .spaces import DIM3_II, SHAPES, ratio_lambda_consistency
@@ -41,32 +40,35 @@ def suite_monic(grid):
     Sweeps every acting label with s in {1} union primes over coprime
     p, q <= grid, checking h = 12 (sum lambda)/s + 1 - s exactly and that
     the closed-form exponents reproduce the general computation entrywise.
+    Since s = ((p - m)/2)(q - n), s is 1 or prime exactly on the two shapes
+    (p - 2s, q - 1) and (p - 2, q - s), which are enumerated directly, in
+    (m, n) order and with s = 1 once.
     """
     checked = 0
     failures = []
+    primes = [s for s in range(grid, 1, -1) if _is_prime(s)]
     for model in models(grid, grid):
         p, q = model.p, model.q
-        for label in list_modules(model):
-            if not label.is_acting:
-                continue
-            s = rep_dimension(model, label)
-            if not (s == 1 or _is_prime(s)):
-                continue
+        cells = [(p - 2 * s, q - 1) for s in primes if 2 * s < p] if q % 2 == 0 else []
+        cells += [(p - 2, q - s) for s in primes + [1] if s < q and (q - s) % 2]
+        for m, n in cells:
+            label = ModuleLabel(m, n)
             profile = rep_profile(model, label)
             checked += 1
             if not minimal_weight_identity(profile):
-                failures.append("identity fails at (%s,%s,%s,%s)" % (p, q, label.m, label.n))
-            _, lam, r = prime_case_closed_forms(model, label)
-            if lam != profile.lam or r != profile.r:
-                failures.append("closed forms differ at (%s,%s,%s,%s)" % (p, q, label.m, label.n))
+                failures.append("identity fails at (%s,%s,%s,%s)" % (p, q, m, n))
+            _, y, x = prime_case_closed_forms(model, label)
+            if y != profile.y or x != profile.x:
+                failures.append("closed forms differ at (%s,%s,%s,%s)" % (p, q, m, n))
     return SuiteResult("monic", checked, failures)
 
 
 def suite_lemmas(grid):
     """Valuation lemmas: nu_r(N) = nu_r(p) resp. nu_r(q) for primes r > 3.
 
-    Uses congruence.fast_level; its agreement with an exact Fraction
-    oracle is covered separately by the test suite.
+    The acting canonical labels are exactly the odd (m, n), so the sweep
+    runs over those directly.  Uses congruence.fast_level; its agreement
+    with an exact Fraction oracle is covered separately by the test suite.
     """
     checked = 0
     failures = []
@@ -76,23 +78,21 @@ def suite_lemmas(grid):
         q_primes = [(r, t) for r, t in factorize(q) if r > 3]
         if not p_primes and not q_primes:
             continue
-        for label in list_modules(model):
-            if not label.is_acting:
-                continue
-            m, n = label.m, label.n
-            wanted = [(r, t) for r, t in p_primes if m <= p - 4]
-            wanted += [(r, t) for r, t in q_primes if n <= q - 3]
-            if not wanted:
-                continue
-            level_n = fast_level(p, q, m, n)
-            for r, t in wanted:
-                checked += 1
-                seen = nu(r, level_n)
-                if seen != t:
-                    failures.append(
-                        "nu_%s mismatch at (%s,%s,%s,%s): N=%s has %s, expected %s"
-                        % (r, p, q, m, n, level_n, seen, t)
-                    )
+        for m in range(1, p, 2):
+            p_wanted = p_primes if m <= p - 4 else []
+            for n in range(1, q, 2):
+                wanted = p_wanted + q_primes if n <= q - 3 else p_wanted
+                if not wanted:
+                    continue
+                level_n = fast_level(p, q, m, n)
+                for r, t in wanted:
+                    checked += 1
+                    seen = nu(r, level_n)
+                    if seen != t:
+                        failures.append(
+                            "nu_%s mismatch at (%s,%s,%s,%s): N=%s has %s, expected %s"
+                            % (r, p, q, m, n, level_n, seen, t)
+                        )
     return SuiteResult("lemmas", checked, failures)
 
 

@@ -25,8 +25,8 @@ from minrep.core import ModuleLabel, list_modules, models, validate_model
 from minrep.fusion import self_coupled_partners
 from minrep.qseries import eisenstein, eta_power, modular_derivative
 from minrep.repdata import rep_profile
-from minrep.selftest import (suite_lemmas, suite_monic, suite_qseries,
-                             suite_ratios)
+from minrep.selftest import (run_selftests, suite_lemmas, suite_monic,
+                             suite_qseries, suite_ratios)
 from minrep.spaces import EQUAL, space_comparison
 
 from oracles import (brute_self_coupled, dim3_case_i_exponents,
@@ -213,6 +213,13 @@ def test_criterion_09_criterion_consistency():
 def test_criterion_10_ratio_windows(ratios_suite):
     _report(10, "q/p window membership agrees with the exponent window, p,q <= 60",
             ratios_suite.failures, ratios_suite.checked)
+
+
+def test_selftest_check_counts_are_pinned(monic_suite, lemmas_suite, ratios_suite):
+    # a sweep that drops labels still reports no failures; its count does not
+    assert (monic_suite.checked, lemmas_suite.checked, ratios_suite.checked) == (
+        7315, 577308, 3405)
+    assert [suite.checked for suite in run_selftests("all", 30)] == [1766, 26659, 792, 33]
 
 
 def test_criterion_11_qseries_identities():

@@ -7,6 +7,7 @@ import textwrap
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import minrep
 from minrep import (ModuleLabel, boundary_prime_power_criterion,
@@ -67,6 +68,45 @@ def test_level_matches_fraction_oracle():
             assert level(rep_profile(model, label)).N == expected, (p, q, label)
             checked += 1
     assert checked > 1000
+
+
+@st.composite
+def _acting_labels(draw):
+    # coprime p odd, q <= 120, with m drawn mostly from {p - 2, p - 4} and n
+    # from the largest two odd values {q - 1, q - 2} / {q - 2, q - 4}: the
+    # one- and two-wide boxes where the difference table is clipped
+    p = 2 * draw(st.integers(min_value=1, max_value=59)) + 1
+    q = draw(st.integers(min_value=2, max_value=120))
+    while gcd(p, q) != 1:
+        q -= 1
+    top_n = q - 1 if q % 2 == 0 else q - 2
+    m = draw(st.one_of(st.sampled_from([p - 2, max(p - 4, 1)]), _odd_up_to(p - 2)))
+    n = draw(st.one_of(st.sampled_from([top_n, max(top_n - 2, 1)]), _odd_up_to(top_n)))
+    return p, q, m, n
+
+
+def _odd_up_to(top):
+    return st.integers(min_value=0, max_value=(top - 1) // 2).map(lambda k: 2 * k + 1)
+
+
+@given(_acting_labels())
+@settings(max_examples=150, deadline=None)
+def test_level_matches_fraction_oracle_up_to_grid_120(label):
+    assert fast_level(*label) == fraction_level(*label), label
+
+
+def test_level_on_every_box_width_class():
+    # (min(wi, 3), min(wj, 3)) with wi = (p - m)/2 and wj = q - n: each of
+    # the nine classes keeps a different part of the difference table
+    classes = set()
+    for p, q in [(7, 8), (7, 9), (101, 120), (117, 119)]:
+        for m in (p - 2, p - 4, p - 6, 1):
+            for n in (q - 1, q - 2, q - 3, q - 4, 1):
+                if n % 2 == 0:
+                    continue
+                assert fast_level(p, q, m, n) == fraction_level(p, q, m, n), (p, q, m, n)
+                classes.add((min((p - m) // 2, 3), min(q - n, 3)))
+    assert classes == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}
 
 
 def test_level_factorization():

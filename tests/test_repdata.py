@@ -1,6 +1,7 @@
 """Exponent profiles, closed forms, minimal weight data, irreducibility."""
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ import pytest
 
 from minrep import (ModuleLabel, analysis, irreducibility_certificate,
                     minimal_weight_identity, minimal_weight_profile,
-                    prime_case_closed_forms, rep_profile, validate_model)
+                    prime_case_closed_forms, rep_profile, selftest,
+                    validate_model)
 from minrep.core import list_modules, models
 from minrep.fusion import MAX_DIMENSION, rep_dimension
 from minrep.errors import (IrreducibilityUnknown, NotPrimeCase, OutOfRange,
@@ -64,18 +66,19 @@ def test_r_exponent_single_fraction_form():
 
 
 def test_prime_case_examples():
-    case, lam, _ = prime_case_closed_forms(validate_model(5, 2), ModuleLabel(3, 1))
+    # numerators over big = 48 p q
+    case, y, _ = prime_case_closed_forms(validate_model(5, 2), ModuleLabel(3, 1))
     assert case == "coincident"
-    assert lam == (F(-1, 60),)
+    assert y == (-8,)                               # big = 480
 
-    case, lam, _ = prime_case_closed_forms(validate_model(3, 4), ModuleLabel(1, 3))
+    case, y, _ = prime_case_closed_forms(validate_model(3, 4), ModuleLabel(1, 3))
     assert case == "coincident"
-    assert lam == (F(1, 24),)
-    assert lam[0] == F(3 * 4 - 2 * 3, 48 * 3)
+    assert y == (24,)                               # big = 576
+    assert y[0] == 4 * (3 * 4 - 2 * 3)
 
-    case, _, r = prime_case_closed_forms(validate_model(3, 8), ModuleLabel(1, 5))
+    case, _, x = prime_case_closed_forms(validate_model(3, 8), ModuleLabel(1, 5))
     assert case == "i"
-    assert r[0] - r[2] == F(1, 2)
+    assert x[0] - x[2] == 1152 // 2                 # big = 1152
 
 
 def test_prime_case_matches_general_computation():
@@ -90,9 +93,12 @@ def test_prime_case_matches_general_computation():
                     if s != 1 and not _is_prime(s):
                         continue
                     profile = rep_profile(model, ModuleLabel(m, n))
-                    _, lam, r = prime_case_closed_forms(model, ModuleLabel(m, n))
-                    assert lam == profile.lam
-                    assert r == profile.r
+                    _, y, x = prime_case_closed_forms(model, ModuleLabel(m, n))
+                    assert y == profile.y
+                    assert x == profile.x
+                    # the Fraction edge: the numerators read back as lam, r
+                    assert tuple(F(v, profile.big) for v in y) == profile.lam
+                    assert tuple(F(v, profile.big) for v in x) == profile.r
 
 
 def _is_prime(n):
@@ -118,6 +124,37 @@ def test_minimal_weight_identity_examples():
                 assert minimal_weight_identity(profile), (model, label)
                 composite += profile.s > 3 and not _is_prime(profile.s)
     assert composite > 0
+
+
+def test_minimal_weight_identity_detects_a_wrong_exponent():
+    for p, q, m, n in [(5, 2, 3, 1), (5, 7, 3, 5), (3, 4, 1, 1), (9, 8, 3, 5)]:
+        profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
+        assert minimal_weight_identity(profile)
+        bumped = dataclasses.replace(profile, y=(profile.y[0] + 1,) + profile.y[1:])
+        assert not minimal_weight_identity(bumped), (p, q, m, n)
+
+
+def test_monic_sweep_visits_every_prime_dimension_label(monkeypatch):
+    # the sweep enumerates the shapes (p - 2s, q - 1) and (p - 2, q - s);
+    # it must visit exactly the acting labels with s = 1 or prime, in the
+    # (p, q, m, n) order of a sweep over list_modules
+    visited = []
+
+    def record(model, label):
+        visited.append((model.p, model.q, label.m, label.n))
+        return prime_case_closed_forms(model, label)
+
+    monkeypatch.setattr(selftest, "prime_case_closed_forms", record)
+    result = selftest.suite_monic(50)
+    expected = []
+    for model in models(50, 50):
+        for label in list_modules(model):
+            s = rep_dimension(model, label) if label.is_acting else 0
+            if s == 1 or _is_prime(s):
+                expected.append((model.p, model.q, label.m, label.n))
+    assert len(expected) == 7315
+    assert visited == expected
+    assert result.checked == len(expected) and not result.failures
 
 
 def test_dimension_cap_before_the_partner_box():

@@ -132,7 +132,7 @@ def analyze(p, q, m, n):
 
 
 def record_to_json(record):
-    return json.dumps(record, separators=(", ", ": "))
+    return json.dumps(record)
 
 
 def record_to_table(record):

@@ -41,7 +41,7 @@ from math import gcd, isqrt
 
 from .errors import DimensionTooLarge, NotPrime, OutOfRange
 from .fusion import rep_dimension
-from .repdata import _is_prime, rep_profile
+from .repdata import rep_profile
 from .spaces import DIM1, DIM2_I, DIM2_II, DIM3_I, low_dim_case
 
 CONGRUENCE = "congruence"
@@ -118,6 +118,18 @@ def fast_level(p, q, m, n):
     f(0, 0), D_j f = 12 p (2 a0 + p), D_j^2 f = 24 p^2, D_i f = 12 q (q - 2 a0),
     D_i^2 f = 24 q^2 and D_i D_j f = -24 p q, each kept only inside the box
     (a dropped difference enters the gcd as 0).
+
+    The last two never change the gcd g with M, so they are omitted.  Here
+    p is odd and a0 = (n + 1)/2 p - (p + 1)/2 q.
+    - 24 p q (both widths > 1): 2 a0 + p is odd, so v_2(D_j f) = 2, and
+      D_j f is present; at odd primes v_r(M) = v_r(24 p q).  Hence g
+      already divides 24 p q.
+    - 24 q^2 (wi > 2): then D_i f is present, and for a prime r | p,
+      q - 2 a0 = (p + 2) q - (n + 1) p = 2 q (mod r), so D_i f shares
+      with p only the one 3 in 12.  At r = 2, v_2(D_i f) = 2 for odd q,
+      and v_2(M) = 4 + v_2(q) <= 3 + 2 v_2(q) for even q; at every other
+      odd prime, v_r(M) = v_r(3 q) <= v_r(24 q^2).  Hence g already
+      divides 24 q^2.
     """
     big = 48 * p * q
     a0 = (n + 1) // 2 * p - (p + 1) // 2 * q
@@ -128,8 +140,6 @@ def fast_level(p, q, m, n):
         12 * p * (2 * a0 + p) if wj > 1 else 0,
         24 * p * p if wj > 2 else 0,
         12 * q * (q - 2 * a0) if wi > 1 else 0,
-        24 * q * q if wi > 2 else 0,
-        24 * p * q if wi > 1 and wj > 1 else 0,
     )
 
 
@@ -157,7 +167,7 @@ def nu(r, x):
 def nw_min_dim(r, t):
     """Smallest dimension of a nontrivial irreducible representation of
     SL2(Z/r^t Z) (Nobs-Wolfart)."""
-    if not _is_prime(r):
+    if r < 2 or factorize(r) != ((r, 1),):
         raise NotPrime("%s is not prime" % r)
     if t < 1:
         raise NotPrime("exponent must be >= 1, got %s" % t)

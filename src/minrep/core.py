@@ -68,8 +68,6 @@ def validate_model(p, q):
         raise NotCoprime("(%s, %s) have common factor %s" % (p, q, gcd(p, q)))
     if p % 2 == 0:
         p, q = q, p
-    if p % 2 == 0 or p < 3:
-        raise AssertionError("(%s, %s) left without an odd p >= 3" % (p, q))
     return MinimalModel(p, q)
 
 

@@ -35,7 +35,8 @@ class NonCanonicalLabel(MinrepError):
 
 
 class NotPrimeCase(MinrepError):
-    """Closed forms apply only when the representation dimension is 1 or prime."""
+    """Closed forms apply only to labels whose partner box is one wide
+    (m = p - 2 or n = q - 1), the shapes of every 1 or prime dimension."""
 
 
 class OutOfScopeDimension(MinrepError):

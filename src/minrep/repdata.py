@@ -26,18 +26,19 @@ Every acting label satisfies the identity
 
 the weight count of the Wronskian of its 1-point functions (Mason, IJNT
 2007): the generating vector sits in the minimal weight of its cyclic
-module.  When s is 1 or a prime, the label has one of two shapes and the
-exponents admit closed forms in (p, q, s, j).  A sufficient irreducibility
-test: rho is irreducible if no proper nonempty subset of the r_j sums to
-an element of (1/12) Z, since any subrepresentation would contribute its
-determinant, a character of SL2(Z), and all such characters take twelfth
-roots of unity on T.
+module.  On a partner box one wide (m = p - 2 or n = q - 1) the exponents
+admit closed forms in (p, q, s, j); every label with s = 1 or prime has
+one of these two shapes.  A sufficient irreducibility test: rho is
+irreducible if no proper nonempty subset of the r_j sums to an element of
+(1/12) Z, since any subrepresentation would contribute its determinant, a
+character of SL2(Z), and all such characters take twelfth roots of unity
+on T.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, isqrt
+from math import floor
 
 from .core import central_charge, conformal_weight
 from .errors import (IrreducibilityUnknown, NotPrimeCase, OutOfScopeDimension,
@@ -98,33 +99,20 @@ def rep_profile(model, label):
     return RepProfile(model, label, len(partners), partners, 48 * p * q, y, x)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
-
-
 def prime_case_closed_forms(model, label):
-    """Closed-form exponent numerators when s is 1 or prime.
+    """Closed-form exponent numerators on a partner box one wide.
 
     Returns (case, y, x) with case one of "coincident" (s = 1), "i"
     (m = p-2, n = q-s) or "ii" (m = p-2s, n = q-1), and y, x the integer
     numerators of (lambda_j) and (r_j) over big = 48 p q, as in RepProfile.
     The j index runs 1..s and coincides with the lexicographic partner
-    order, so the tuples match rep_profile entrywise.
+    order, so the tuples match rep_profile entrywise.  The forms are
+    polynomial in (p, q, s, j) and hold for every s on these two shapes;
+    any other label raises NotPrimeCase.
     """
     p, q = model.p, model.q
     m, n = label.m, label.n
     s = rep_dimension(model, label)
-    if not (s == 1 or _is_prime(s)):
-        raise NotPrimeCase("dimension %s is neither 1 nor prime" % s)
     js = range(1, s + 1)
     if m == p - 2 and n == q - s:
         case = "coincident" if s == 1 else "i"
@@ -139,7 +127,7 @@ def prime_case_closed_forms(model, label):
                   for j in js)
     else:
         raise NotPrimeCase(
-            "label (%s, %s) does not match a prime-dimension shape" % (m, n)
+            "label (%s, %s) has no one-wide partner box" % (m, n)
         )
     return case, y, x
 

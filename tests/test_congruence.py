@@ -138,8 +138,9 @@ def test_nw_min_dim_table():
     assert nw_min_dim(7, 1) == 3
     assert nw_min_dim(5, 2) == 12
     assert nw_min_dim(7, 2) == 24
-    with pytest.raises(NotPrime):
-        nw_min_dim(6, 1)
+    for r in (-3, 0, 1, 4, 6, 9, 15, 49):
+        with pytest.raises(NotPrime):
+            nw_min_dim(r, 1)
     with pytest.raises(NotPrime):
         nw_min_dim(5, 0)
 

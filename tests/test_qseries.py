@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from minrep import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
                     apply_operator, bernoulli, eisenstein, eta_power,
-                    modular_derivative)
+                    modular_derivative, qseries, selftest)
 from minrep.errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
                            OddWeight, OutOfRange, WeightMismatch)
 
@@ -322,3 +322,20 @@ def test_multiplication_matches_schoolbook_oracle(off_a, coeffs_a, off_b, coeffs
 @settings(max_examples=60)
 def test_leading_coefficient_normalised(s):
     assert s.is_zero() or s.coeffs[0] != 0
+
+
+def test_selftest_operator_checks_compare_nonzero_series(monkeypatch):
+    # a probe the derivative kills (eta^2 in weight 1) turns the (G4, D) and
+    # (D, D) compose/apply checks into 0 == 0
+    results = []
+
+    def record(op, components, weight):
+        out = apply_operator(op, components, weight)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(qseries, "apply_operator", record)
+    suite = selftest.suite_qseries()
+    assert suite.ok
+    assert len(results) == 9
+    assert not any(series.is_zero() for series in results)

@@ -82,23 +82,23 @@ def test_prime_case_examples():
 
 
 def test_prime_case_matches_general_computation():
-    for p in range(3, 26, 2):
-        for q in range(2, 26):
-            if q == p or gcd(p, q) != 1:
+    # every acting label on a one-wide box (m = p - 2 or n = q - 1), which
+    # holds every label with s = 1 or prime and many with composite s
+    composite = 0
+    for model in models(40, 40):
+        p, q = model.p, model.q
+        for label in list_modules(model):
+            if not label.is_acting or (label.m != p - 2 and label.n != q - 1):
                 continue
-            model = validate_model(p, q)
-            for m in range(1, p, 2):
-                for n in range(1, q, 2):
-                    s = (p - m) * (q - n) // 2
-                    if s != 1 and not _is_prime(s):
-                        continue
-                    profile = rep_profile(model, ModuleLabel(m, n))
-                    _, y, x = prime_case_closed_forms(model, ModuleLabel(m, n))
-                    assert y == profile.y
-                    assert x == profile.x
-                    # the Fraction edge: the numerators read back as lam, r
-                    assert tuple(F(v, profile.big) for v in y) == profile.lam
-                    assert tuple(F(v, profile.big) for v in x) == profile.r
+            profile = rep_profile(model, label)
+            _, y, x = prime_case_closed_forms(model, label)
+            assert y == profile.y, (p, q, label)
+            assert x == profile.x, (p, q, label)
+            # the Fraction edge: the numerators read back as lam, r
+            assert tuple(F(v, profile.big) for v in y) == profile.lam
+            assert tuple(F(v, profile.big) for v in x) == profile.r
+            composite += profile.s > 3 and not _is_prime(profile.s)
+    assert composite > 0
 
 
 def _is_prime(n):

@@ -20,8 +20,7 @@ from math import gcd
 from .congruence import congruence_verdict, level
 from .core import canonical_label, central_charge, conformal_weight, validate_model
 from .errors import SubsetBlowup
-from .repdata import (IRREDUCIBLE, irreducibility_certificate,
-                      minimal_weight_profile, rep_profile)
+from .repdata import irreducibility_certificate, minimal_weight_profile, rep_profile
 from .spaces import space_comparison
 
 NOT_COMPUTED = "not-computed"
@@ -109,8 +108,8 @@ def analyze(p, q, m, n):
     record["level_factorization"] = verdict.details["level_factorization"]
     record["irreducibility"] = cert
 
-    if profile.s <= 3 and cert == IRREDUCIBLE:
-        mw = minimal_weight_profile(profile, cert)
+    if profile.s <= 3:
+        mw = minimal_weight_profile(profile)
         record["k0"] = frac_str(mw.k0)
         record["alpha"] = [frac_str(a) for a in mw.alpha]
     else:
@@ -122,7 +121,7 @@ def analyze(p, q, m, n):
         "criterion": verdict.criterion,
         "details": verdict.details,
     }
-    spaces = space_comparison(profile, cert)
+    spaces = space_comparison(profile)
     record["spaces"] = {
         "status": spaces.status,
         "lambda_flags": list(spaces.lambda_flags),

@@ -119,8 +119,9 @@ def fast_level(p, q, m, n):
     D_i^2 f = 24 q^2 and D_i D_j f = -24 p q, each kept only inside the box
     (a dropped difference enters the gcd as 0).
 
-    The last two never change the gcd g with M, so they are omitted.  Here
-    p is odd and a0 = (n + 1)/2 p - (p + 1)/2 q.
+    The last two never change the gcd g with M, so they are omitted, and so
+    are D_j f at wj = 2 and D_j^2 f at wj = 3.  Here p is odd and
+    a0 = (n + 1)/2 p - (p + 1)/2 q.
     - 24 p q (both widths > 1): 2 a0 + p is odd, so v_2(D_j f) = 2, and
       D_j f is present; at odd primes v_r(M) = v_r(24 p q).  Hence g
       already divides 24 p q.
@@ -130,6 +131,14 @@ def fast_level(p, q, m, n):
       and v_2(M) = 4 + v_2(q) <= 3 + 2 v_2(q) for even q; at every other
       odd prime, v_r(M) = v_r(3 q) <= v_r(24 q^2).  Hence g already
       divides 24 q^2.
+    - D_j f at wj = 2: then n = q - 2 and q is odd, so D_j f = -12 p q.
+      f(0, 0) = 2 (mod 4) as p, q, m, n are odd, so v_2(g) <= 1, and at odd
+      primes v_r(M) = v_r(12 p q).  Hence g already divides 12 p q.
+    - D_j^2 f = 24 p^2 at wj = 3: then n = q - 3, q is even and
+      D_j f = -12 p (p + q) with p + q odd and prime to q.  So v_2(g) <= 2;
+      3 divides at most one of q and p + q, so v_3(g) <= 1 + v_3(p); and
+      no prime r > 3 of q divides D_j f, so v_r(g) <= v_r(p) for r > 3.
+      Hence g already divides 24 p^2.
     """
     big = 48 * p * q
     a0 = (n + 1) // 2 * p - (p + 1) // 2 * q
@@ -137,8 +146,8 @@ def fast_level(p, q, m, n):
     return big // gcd(
         big,
         12 * a0 * a0 + (p - q) ** 2 - 2 * p * q - (n * p - m * q) ** 2,
-        12 * p * (2 * a0 + p) if wj > 1 else 0,
-        24 * p * p if wj > 2 else 0,
+        12 * p * (2 * a0 + p) if wj > 2 else 0,
+        24 * p * p if wj > 3 else 0,
         12 * q * (q - 2 * a0) if wi > 1 else 0,
     )
 

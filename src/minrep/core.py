@@ -29,6 +29,10 @@ from math import gcd
 from .errors import (BothEven, NoOddRepresentative, NotAnInteger, NotCoprime,
                      OutOfRange)
 
+#: largest p or q: the congruence criteria factorize both by trial division,
+#: which stays within a fraction of a second up to here
+MAX_INDEX = 10 ** 6
+
 
 @dataclass(frozen=True, order=True)
 class MinimalModel:
@@ -53,15 +57,16 @@ class ModuleLabel:
 
 
 def validate_model(p, q):
-    """Build a MinimalModel from integers p, q >= 2.
+    """Build a MinimalModel from integers 2 <= p, q <= MAX_INDEX.
 
     The pair is swapped if needed so that the stored p is odd; this loses
     nothing since the central charge is symmetric.  Raises NotAnInteger,
     OutOfRange, BothEven or NotCoprime on bad input.
     """
     _check_int(p, q)
-    if p < 2 or q < 2:
-        raise OutOfRange("minimal model indices must satisfy p, q >= 2, got (%s, %s)" % (p, q))
+    if not (2 <= p <= MAX_INDEX and 2 <= q <= MAX_INDEX):
+        raise OutOfRange("minimal model indices must satisfy 2 <= p, q <= MAX_INDEX = %s, "
+                         "got (%s, %s)" % (MAX_INDEX, p, q))
     if p % 2 == 0 and q % 2 == 0:
         raise BothEven("(%s, %s) are both even" % (p, q))
     if gcd(p, q) != 1:

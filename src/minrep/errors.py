@@ -43,10 +43,6 @@ class OutOfScopeDimension(MinrepError):
     """Minimal weight data is only computed for dimension at most 3."""
 
 
-class IrreducibilityUnknown(MinrepError):
-    """The requested quantity needs a positive irreducibility certificate."""
-
-
 class SubsetBlowup(MinrepError):
     """The subset enumeration exceeds the configured dimension cap."""
 

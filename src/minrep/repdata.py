@@ -41,8 +41,7 @@ from functools import cached_property
 from math import floor
 
 from .core import central_charge, conformal_weight
-from .errors import (IrreducibilityUnknown, NotPrimeCase, OutOfScopeDimension,
-                     SubsetBlowup)
+from .errors import NotPrimeCase, OutOfScopeDimension, SubsetBlowup
 from .fusion import rep_dimension, self_coupled_partners
 
 IRREDUCIBLE = "irreducible"
@@ -196,23 +195,28 @@ class MinimalWeightProfile:
     k0: Fraction
 
 
-def minimal_weight_profile(profile, certificate=None):
+def minimal_weight_profile(profile):
     """Reduced exponents and minimal holomorphic weight, for s <= 3.
 
     The minimal weight formula is proven for irreducible representations
-    of dimension less than four, so both conditions are enforced: larger
-    s raises OutOfScopeDimension, and a certificate other than
-    "irreducible" raises IrreducibilityUnknown.
+    of dimension less than four (Mason, IJNT 2007).  Larger s raises
+    OutOfScopeDimension.  Irreducibility needs no check: every s <= 3
+    label is certified "irreducible".  With D = 4 p q the certificate is
+    "inconclusive" exactly when a nonempty subset of x_1..x_{s-1} sums to
+    0 or to sum(x) mod D, and on the five shapes prime_case_closed_forms
+    gives, mod D:
+    - s = 1: there is no proper nonempty subset;
+    - (p-2, q-2): 12 r = (5/2, -1/2), and neither is an integer;
+    - (p-4, q-1), p >= 5: x = (-12 q^2, 12 q^2), and D | 12 q^2 only if
+      p | 3;
+    - (p-2, q-3), q >= 4 even: x = (4 p^2, -8 p^2, 4 p^2) with sum 0; the
+      subset sums 4 p^2, -8 p^2 and -4 p^2 vanish only if q | p or q | 2p;
+    - (p-6, q-1), p >= 7: x = (-32 q^2, -8 q^2, 40 q^2) with sum 0; the
+      subset sums vanish only if the odd p divides 32, 8 or 40.
     """
     if profile.s > 3:
         raise OutOfScopeDimension(
             "minimal weight data is restricted to dimension <= 3, got %s" % profile.s
-        )
-    if certificate is None:
-        certificate = irreducibility_certificate(profile)
-    if certificate != IRREDUCIBLE:
-        raise IrreducibilityUnknown(
-            "minimal weight formula needs an irreducibility certificate"
         )
     alpha = tuple(l - floor(l) for l in profile.lam)
     k0 = Fraction(12, profile.s) * sum(alpha) + 1 - profile.s

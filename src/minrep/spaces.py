@@ -6,9 +6,9 @@ the generating vector.  Its relation to the space H(rho) of holomorphic
 vector-valued modular forms is read off the leading exponents lambda_j:
 
   * some lambda_j < 0: the generator is not holomorphic at the cusp;
-  * all lambda_j in [0, 1) (s <= 3, rho irreducible): V(rho) = H(rho);
-  * all lambda_j >= 0 with some lambda_j >= 1 (s <= 3, irreducible):
-    V(rho) is properly contained in H(rho).
+  * all lambda_j in [0, 1) (s <= 3): V(rho) = H(rho);
+  * all lambda_j >= 0 with some lambda_j >= 1 (s <= 3): V(rho) is properly
+    contained in H(rho).
 
 For s > 3 only the window facts are reported; the equality criterion is
 proven only below dimension four.
@@ -34,7 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCase, NotLowDimCase
-from .repdata import IRREDUCIBLE, irreducibility_certificate, rep_profile
+# irreducibility_certificate stays bound here so that call-site wrappers of
+# spaces.irreducibility_certificate resolve
+from .repdata import irreducibility_certificate, rep_profile
 
 EQUAL = "equal"
 PROPER_CONTAINMENT = "proper-containment"
@@ -156,13 +158,13 @@ class SpaceComparison:
     ratio_check: object = None   # bool for the classified shapes, else None
 
 
-def space_comparison(profile, certificate=None):
+def space_comparison(profile):
     """Compare V(rho) with H(rho) through the lambda window.
 
-    For s <= 3 the certificate gates the structural claims: equality and
-    proper containment are only asserted for certified irreducible
-    representations (a negative leading exponent is a raw fact and needs
-    no certificate).  For s > 3 only window facts are reported.
+    For s <= 3, where every label is certified irreducible (see
+    repdata.minimal_weight_profile), the status is structural: equality,
+    proper containment, or a generator that is not holomorphic at the
+    cusp.  For s > 3 only window facts are reported.
     """
     big = profile.big
     flags = tuple(_window_flag(y, big) for y in profile.y)
@@ -176,10 +178,6 @@ def space_comparison(profile, certificate=None):
         return SpaceComparison(WINDOW_FACTS_ONLY, flags, ratio_check)
     if FLAG_NEGATIVE in flags:
         return SpaceComparison(GENERATOR_NOT_HOLOMORPHIC, flags, ratio_check)
-    if certificate is None:
-        certificate = irreducibility_certificate(profile)
-    if certificate != IRREDUCIBLE:
-        return SpaceComparison(WINDOW_FACTS_ONLY, flags, ratio_check)
     if all(f == FLAG_UNIT_INTERVAL for f in flags):
         return SpaceComparison(EQUAL, flags, ratio_check)
     return SpaceComparison(PROPER_CONTAINMENT, flags, ratio_check)

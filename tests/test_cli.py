@@ -10,7 +10,9 @@ import subprocess
 import sys
 
 import minrep
-from minrep import analysis, cli, qseries
+from minrep import analysis, cli, errors, qseries
+from minrep.core import list_modules, models
+from minrep.spaces import WINDOW_FACTS_ONLY
 
 
 def test_analyze_record_structure():
@@ -337,6 +339,53 @@ def test_cli_analyze_rejects_a_dimension_over_the_cap():
                          capture_output=True, text=True, timeout=60)
     assert run.stdout.strip() == "2", run.stderr
     assert "MAX_DIMENSION" in run.stderr
+
+
+def test_cli_analyze_rejects_an_index_over_the_cap():
+    # p = 1000000007 * 1000000009 and s = 1: without MAX_INDEX the
+    # congruence criteria trial-divide p, which does not finish in minutes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    run = subprocess.run([sys.executable, "-m", "minrep.cli", "analyze",
+                          "--p", "1000000016000000063", "--q", "2",
+                          "--m", "1000000016000000061", "--n", "1"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2, run.stderr
+    assert "MAX_INDEX" in run.stderr
+
+
+def test_minimal_weight_and_space_status_follow_the_dimension_alone():
+    # every s <= 3 label is certified irreducible, so k0 and alpha are set
+    # exactly when s <= 3, and only s > 3 leaves window facts alone
+    acting = 0
+    for model in models(20, 20):
+        for label in list_modules(model):
+            if not label.is_acting:
+                continue
+            record = analysis.analyze(model.p, model.q, label.m, label.n)
+            small = record["s"] <= 3
+            assert (record["k0"] is not None) == small, record
+            assert (record["alpha"] is not None) == small, record
+            assert (record["spaces"]["status"] == WINDOW_FACTS_ONLY) == (not small), record
+            acting += 1
+    assert acting > 3000
+
+
+def test_every_error_class_is_raised_somewhere():
+    # a raise deleted from the package must take its exception class along
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.MinrepError)
+               and obj is not errors.MinrepError}
+    assert classes
+    package = os.path.dirname(minrep.__file__)
+    raised = set()
+    for path in glob.glob(os.path.join(package, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {sub.id for sub in ast.walk(node.exc) if isinstance(sub, ast.Name)}
+    assert not classes - raised, sorted(classes - raised)
 
 
 def test_cli_qseries_annihilation(capsys):

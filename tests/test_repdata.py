@@ -11,15 +11,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from minrep import (ModuleLabel, analysis, irreducibility_certificate,
                     minimal_weight_identity, minimal_weight_profile,
                     prime_case_closed_forms, rep_profile, selftest,
                     validate_model)
-from minrep.core import list_modules, models
+from minrep.core import MAX_INDEX, list_modules, models
 from minrep.fusion import MAX_DIMENSION, rep_dimension
-from minrep.errors import (IrreducibilityUnknown, NotPrimeCase, OutOfRange,
-                           OutOfScopeDimension, SubsetBlowup)
+from minrep.errors import (NotPrimeCase, OutOfRange, OutOfScopeDimension,
+                           SubsetBlowup)
 from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, SUBSET_CAP, RepProfile
 from oracles import brute_certificate, kac_central_charge, kac_exponents, kac_weight
 
@@ -189,9 +190,6 @@ def test_minimal_weight_profile_guards():
     big = rep_profile(validate_model(5, 7), ModuleLabel(1, 3))
     with pytest.raises(OutOfScopeDimension):
         minimal_weight_profile(big)
-    small = rep_profile(validate_model(3, 4), ModuleLabel(1, 3))
-    with pytest.raises(IrreducibilityUnknown):
-        minimal_weight_profile(small, INCONCLUSIVE)
 
 
 def test_irreducibility_examples():
@@ -324,19 +322,50 @@ def test_irreducibility_cap():
         irreducibility_certificate(profile)
 
 
+#: (p - m, q - n) of each s <= 3 shape, and the residues of x_j mod
+#: D = 4pq that the proof in minimal_weight_profile reads off the closed
+#: forms (None for s = 1, where no proper nonempty subset exists)
+_LOW_DIM_RESIDUES = {
+    (2, 1): None,
+    (2, 2): lambda p, q: (10 * p * q, -2 * p * q),
+    (4, 1): lambda p, q: (-12 * q * q, 12 * q * q),
+    (2, 3): lambda p, q: (4 * p * p, -8 * p * p, 4 * p * p),
+    (6, 1): lambda p, q: (-32 * q * q, -8 * q * q, 40 * q * q),
+}
+
+
+def _assert_certified_irreducible(p, q, gap):
+    profile = rep_profile(validate_model(p, q), ModuleLabel(p - gap[0], q - gap[1]))
+    residues = _LOW_DIM_RESIDUES[gap]
+    d = 4 * p * q
+    if residues is not None:
+        assert [v % d for v in profile.x] == [v % d for v in residues(p, q)], (p, q, gap)
+    assert irreducibility_certificate(profile) == IRREDUCIBLE, (p, q, gap)
+    data = minimal_weight_profile(profile)
+    assert len(data.alpha) == profile.s <= 3
+
+
 def test_low_dim_families_are_certified_irreducible():
-    # every classified s <= 3 acting label passes the certificate
-    for p in range(3, 22, 2):
-        for q in range(2, 22):
-            if q == p or gcd(p, q) != 1:
-                continue
-            model = validate_model(p, q)
-            shapes = [(p - 2, q - 1), (p - 2, q - 2), (p - 4, q - 1),
-                      (p - 2, q - 3), (p - 6, q - 1)]
-            for m, n in shapes:
-                if m < 1 or n < 1 or m % 2 == 0 or n % 2 == 0:
-                    continue
-                profile = rep_profile(model, ModuleLabel(m, n))
-                if profile.s == 1:
-                    continue
-                assert irreducibility_certificate(profile) == IRREDUCIBLE, (p, q, m, n)
+    # every acting label of the five s <= 3 shapes up to grid 60, s = 1
+    # included, has the proof's residues and passes the certificate
+    checked = set()
+    for model in models(60, 60):
+        p, q = model.p, model.q
+        for gap in _LOW_DIM_RESIDUES:
+            m, n = p - gap[0], q - gap[1]
+            if m >= 1 and n >= 1 and n % 2 == 1:
+                _assert_certified_irreducible(p, q, gap)
+                checked.add(gap)
+    assert checked == set(_LOW_DIM_RESIDUES)
+
+
+@given(st.sampled_from(sorted(_LOW_DIM_RESIDUES)),
+       st.integers(min_value=1, max_value=MAX_INDEX // 2 - 1),
+       st.integers(min_value=0, max_value=MAX_INDEX // 2 - 2))
+@settings(max_examples=200, deadline=None)
+def test_low_dim_families_are_certified_irreducible_up_to_max_index(gap, a, b):
+    # p odd and q of the parity that makes n = q - gap[1] odd, both at most
+    # MAX_INDEX; the label is acting when m = p - gap[0] >= 1
+    p, q = 2 * a + 1, gap[1] + 1 + 2 * b
+    assume(p - gap[0] >= 1 and gcd(p, q) == 1)
+    _assert_certified_irreducible(p, q, gap)

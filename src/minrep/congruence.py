@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import DimensionTooLarge, NotPrime, OutOfRange
+from .errors import NotPrime, OutOfRange, OutOfScopeDimension
 from .fusion import rep_dimension
 from .repdata import rep_profile
 from .spaces import DIM1, DIM2_I, DIM2_II, DIM3_I, low_dim_case
@@ -120,11 +120,12 @@ def fast_level(p, q, m, n):
     (a dropped difference enters the gcd as 0).
 
     The last two never change the gcd g with M, so they are omitted, and so
-    are D_j f at wj = 2 and D_j^2 f at wj = 3.  Here p is odd and
+    are D_j f at wj <= 3 and D_j^2 f at wj <= 4.  Here p is odd and
     a0 = (n + 1)/2 p - (p + 1)/2 q.
-    - 24 p q (both widths > 1): 2 a0 + p is odd, so v_2(D_j f) = 2, and
-      D_j f is present; at odd primes v_r(M) = v_r(24 p q).  Hence g
-      already divides 24 p q.
+    - 24 p q (both widths > 1): at wj > 3, D_j f is present and 2 a0 + p
+      is odd, so v_2(D_j f) = 2; at odd primes v_r(M) = v_r(24 p q).
+      Hence g already divides 24 p q.  At wj = 2 and 3 the cases below
+      show that gcd(M, f(0, 0)) divides 12 p q.
     - 24 q^2 (wi > 2): then D_i f is present, and for a prime r | p,
       q - 2 a0 = (p + 2) q - (n + 1) p = 2 q (mod r), so D_i f shares
       with p only the one 3 in 12.  At r = 2, v_2(D_i f) = 2 for odd q,
@@ -134,11 +135,17 @@ def fast_level(p, q, m, n):
     - D_j f at wj = 2: then n = q - 2 and q is odd, so D_j f = -12 p q.
       f(0, 0) = 2 (mod 4) as p, q, m, n are odd, so v_2(g) <= 1, and at odd
       primes v_r(M) = v_r(12 p q).  Hence g already divides 12 p q.
-    - D_j^2 f = 24 p^2 at wj = 3: then n = q - 3, q is even and
-      D_j f = -12 p (p + q) with p + q odd and prime to q.  So v_2(g) <= 2;
-      3 divides at most one of q and p + q, so v_3(g) <= 1 + v_3(p); and
-      no prime r > 3 of q divides D_j f, so v_r(g) <= v_r(p) for r > 3.
-      Hence g already divides 24 p^2.
+    - D_j f and D_j^2 f at wj = 3: then n = q - 3, q is even, a0 = -p - q/2
+      and f(0, 0) = 4 B with B = (p + q)^2 - wi^2 q^2 + 3 wi p q.  B is odd,
+      and B = p^2 (mod r) for every prime r | q, so no prime of q divides
+      B.  Hence v_2(gcd(M, f(0, 0))) = 2, no odd prime of q divides it,
+      and at the other odd primes v_r(M) = v_r(3 p): gcd(M, f(0, 0))
+      divides 12 p, which divides both D_j f and D_j^2 f = 24 p^2.
+    - D_j^2 f = 24 p^2 at wj = 4: then n = q - 4, q is odd and
+      D_j f = -12 p (2 p + q) with 2 p + q odd and prime to q.  So
+      v_2(g) <= 2; 3 divides at most one of q and 2 p + q, so
+      v_3(g) <= 1 + v_3(p); and no prime r > 3 of q divides D_j f, so
+      v_r(g) <= v_r(p) for r > 3.  Hence g already divides 24 p^2.
     """
     big = 48 * p * q
     a0 = (n + 1) // 2 * p - (p + 1) // 2 * q
@@ -146,8 +153,8 @@ def fast_level(p, q, m, n):
     return big // gcd(
         big,
         12 * a0 * a0 + (p - q) ** 2 - 2 * p * q - (n * p - m * q) ** 2,
-        12 * p * (2 * a0 + p) if wj > 2 else 0,
-        24 * p * p if wj > 3 else 0,
+        12 * p * (2 * a0 + p) if wj > 3 else 0,
+        24 * p * p if wj > 4 else 0,
         12 * q * (q - 2 * a0) if wi > 1 else 0,
     )
 
@@ -319,7 +326,7 @@ def classify_low_dim(model, label):
     """
     s = rep_dimension(model, label)
     if s > 3:
-        raise DimensionTooLarge("low-dimension classification needs s <= 3, got %s" % s)
+        raise OutOfScopeDimension("low-dimension classification needs s <= 3, got %s" % s)
     case = low_dim_case(model, label)
     if case == DIM1:
         return CongruenceVerdict(CONGRUENCE, ONE_DIMENSIONAL, {"rho_T": "1"})

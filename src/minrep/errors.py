@@ -40,7 +40,8 @@ class NotPrimeCase(MinrepError):
 
 
 class OutOfScopeDimension(MinrepError):
-    """Minimal weight data is only computed for dimension at most 3."""
+    """The operation needs dimension s <= 3: minimal weight data and the
+    low-dimension classification."""
 
 
 class SubsetBlowup(MinrepError):
@@ -51,24 +52,14 @@ class NotPrime(MinrepError):
     """A prime number was required."""
 
 
-class DimensionTooLarge(MinrepError):
-    """Low-dimension classification applies only for dimension at most 3."""
-
-
-class InvalidCase(MinrepError):
-    """Unknown dimension-case tag for the ratio windows."""
-
-
 class NotLowDimCase(MinrepError):
-    """The label does not match one of the classified low-dimension shapes."""
-
-
-class OddIndex(MinrepError):
-    """Bernoulli numbers are exposed only at even index here."""
+    """The label or shape tag is not one of the five classified s <= 3
+    shapes."""
 
 
 class OddWeight(MinrepError):
-    """Eisenstein series exist in even weight only."""
+    """Bernoulli numbers and Eisenstein series are exposed here only at
+    even k >= 2 (index or weight)."""
 
 
 class ExponentMismatch(MinrepError):

@@ -42,8 +42,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, floor, lcm
 
-from .errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
-                     OddWeight, OutOfRange, WeightMismatch)
+from .errors import (ExponentMismatch, InhomogeneousOperator, OddWeight,
+                     OutOfRange, WeightMismatch)
 
 #: default truncation order for q-expansions
 DEFAULT_ORDER = 40
@@ -219,7 +219,7 @@ def _bernoulli_list(kmax):
 def bernoulli(k):
     """The k-th Bernoulli number for even k >= 2, exactly."""
     if k % 2 != 0 or k < 2:
-        raise OddIndex("Bernoulli numbers are exposed for even k >= 2, got %s" % k)
+        raise OddWeight("Bernoulli numbers are exposed for even k >= 2, got %s" % k)
     return _bernoulli_list(k)[k]
 
 

@@ -12,7 +12,7 @@ from . import qseries
 from .congruence import factorize, fast_level, nu
 from .core import ModuleLabel, models
 from .repdata import minimal_weight_identity, prime_case_closed_forms, rep_profile
-from .spaces import DIM3_II, SHAPES, ratio_lambda_consistency
+from .spaces import SHAPES, ratio_lambda_consistency
 
 #: frozen constants of the two derivative identities on the Eisenstein
 #: generators, in the G-normalisation used here; both were derived by an
@@ -96,25 +96,21 @@ def suite_lemmas(grid):
 
 
 def suite_ratios(grid):
-    """Window/exponent agreement for the classified low-dimension shapes.
+    """Window/exponent agreement for the five classified s <= 3 shapes.
 
-    Also checks that the shape (p-6, q-1) never has all exponents in
-    [0, 1) (its two routes to equality are mutually exclusive).
+    The shape (p-6, q-1) has no window, so there the check is that its
+    exponents are never all in [0, 1).
     """
     checked = 0
     failures = []
     for model in models(grid, grid):
         p, q = model.p, model.q
-        for case, (dm, dn) in SHAPES.items():
+        for dm, dn in SHAPES.values():
             label = ModuleLabel(p - dm, q - dn)
             if label.m < 1 or label.n < 1 or not label.is_acting:
                 continue
             checked += 1
-            if case == DIM3_II:
-                profile = rep_profile(model, label)
-                if all(0 <= y < profile.big for y in profile.y):
-                    failures.append("(p-6, q-1) exponents all in [0,1) at (%s,%s)" % (p, q))
-            elif not ratio_lambda_consistency(model, label):
+            if not ratio_lambda_consistency(model, label):
                 failures.append("window mismatch at (%s,%s,%s,%s)" % (p, q, label.m, label.n))
     return SuiteResult("ratios", checked, failures)
 

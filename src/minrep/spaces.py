@@ -24,16 +24,18 @@ endpoints are quadratic irrationalities:
   dimension 3, (p-2, q-3):   2/3 <= q/p < (7-sqrt13)/3
                              or (7+sqrt13)/3 <= q/p < (19+5*sqrt13)/3
 
-Membership is decided exactly by integer sign computations against the
-defining quadratics; no floating point is involved.  The fifth shape
-(p-6, q-1) admits no window at all: lambda_1 < 1 forces q/p >= 2/3 while
+Each endpoint is stored as an integer tuple (a, c, d, e) standing for
+(a + c*sqrt(d))/e, and membership of q/p is decided by the sign of
+e*q - a*p - c*p*sqrt(d), an integer comparison of squares; no floating
+point is involved.  The fifth shape (p-6, q-1) admits no window at all
+(its tuple of windows is empty): lambda_1 < 1 forces q/p >= 2/3 while
 lambda_3 < 1 forces q/p < 2/3.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidCase, NotLowDimCase
+from .errors import NotLowDimCase
 # irreducibility_certificate stays bound here so that call-site wrappers of
 # spaces.irreducibility_certificate resolve
 from .repdata import irreducibility_certificate, rep_profile
@@ -66,73 +68,52 @@ FLAG_UNIT_INTERVAL = "unit-interval"
 FLAG_GE_ONE = "ge-one"
 
 
-def _cmp_fraction_surd(t, c, d):
-    """Sign of t - c*sqrt(d) for rational t, c and nonsquare d >= 0."""
+def _surd_sign(t, c, d):
+    """Sign of t - c*sqrt(d) for integers t, c, d with c = 0 or d > 0 nonsquare."""
     st = (t > 0) - (t < 0)
     sc = (c > 0) - (c < 0)
-    if sc == 0 or st != sc:
-        if st != sc:
-            return 1 if st > sc else -1
-        return 0
-    lhs, rhs = t * t, c * c * d
-    if lhs == rhs:
-        return 0
-    return st if lhs > rhs else -st
+    if st != sc:
+        return 1 if st > sc else -1
+    diff = t * t - c * c * d
+    return st * ((diff > 0) - (diff < 0))
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """The algebraic number u + c*sqrt(d) with u, c rational."""
-
-    u: Fraction
-    c: Fraction = Fraction(0)
-    d: int = 0
-
-    def cmp(self, x):
-        """Sign of x - (u + c*sqrt(d)) for rational x."""
-        return _cmp_fraction_surd(Fraction(x) - self.u, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class RatioWindow:
-    """Half-open interval [lo, hi) with quadratic-irrational endpoints."""
-
-    lo: Endpoint
-    hi: Endpoint
-
-    def contains(self, x):
-        return self.lo.cmp(x) >= 0 and self.hi.cmp(x) < 0
-
-
-def _third(a, c=0, d=0):
-    return Endpoint(Fraction(a, 3), Fraction(c, 3), d)
-
-
+#: the windows [lo, hi) of each shape, every end an integer tuple (a, c, d, e)
+#: standing for (a + c*sqrt(d))/e with e > 0
 _WINDOWS = {
-    DIM1: (RatioWindow(_third(2), Endpoint(Fraction(50, 3))),),
+    DIM1: (((2, 0, 0, 3), (50, 0, 0, 3)),),
     DIM2_I: (
-        RatioWindow(_third(22, -5, 19), _third(4, -1, 7)),
-        RatioWindow(_third(4, 1, 7), _third(22, 5, 19)),
+        ((22, -5, 19, 3), (4, -1, 7, 3)),
+        ((4, 1, 7, 3), (22, 5, 19, 3)),
     ),
-    DIM2_II: (RatioWindow(_third(2), Endpoint(Fraction(50, 27))),),
+    DIM2_II: (((2, 0, 0, 3), (50, 0, 0, 27)),),
     DIM3_I: (
-        RatioWindow(_third(2), _third(7, -1, 13)),
-        RatioWindow(_third(7, 1, 13), _third(19, 5, 13)),
+        ((2, 0, 0, 3), (7, -1, 13, 3)),
+        ((7, 1, 13, 3), (19, 5, 13, 3)),
     ),
+    DIM3_II: (),
 }
 
 
 def ratio_bounds(case):
-    """The q/p windows for a classified shape, as a tuple of RatioWindow."""
+    """The q/p windows of a shape tag, as pairs (lo, hi) of integer ends
+    (a, c, d, e) = (a + c*sqrt(d))/e; empty for DIM3_II."""
     try:
         return _WINDOWS[case]
     except KeyError:
-        raise InvalidCase("unknown dimension case %r" % (case,)) from None
+        raise NotLowDimCase("unknown shape tag %r" % (case,)) from None
 
 
 def ratio_in_window(case, ratio):
-    """Exact membership of the rational ratio in the case's windows."""
-    return any(w.contains(ratio) for w in ratio_bounds(case))
+    """Exact membership of the rational ratio in the case's windows.
+
+    With ratio = num/den, den > 0, the sign of ratio - (a + c*sqrt(d))/e
+    is the sign of e*num - a*den - c*den*sqrt(d).
+    """
+    num, den = Fraction(ratio).as_integer_ratio()
+    signs = [[_surd_sign(e * num - a * den, c * den, d) for a, c, d, e in window]
+             for window in ratio_bounds(case)]
+    return any(lo >= 0 and hi < 0 for lo, hi in signs)
 
 
 def low_dim_case(model, label):
@@ -155,7 +136,7 @@ class SpaceComparison:
 
     status: str
     lambda_flags: tuple
-    ratio_check: object = None   # bool for the classified shapes, else None
+    ratio_check: object = None   # bool for the shapes with a window, else None
 
 
 def space_comparison(profile):
@@ -171,7 +152,7 @@ def space_comparison(profile):
     model, label = profile.model, profile.label
     case = low_dim_case(model, label)
     ratio_check = None
-    if case in _WINDOWS:
+    if _WINDOWS.get(case):
         ratio_check = ratio_in_window(case, Fraction(model.q, model.p))
 
     if profile.s > 3:
@@ -186,16 +167,17 @@ def space_comparison(profile):
 def ratio_lambda_consistency(model, label):
     """Whether window membership of q/p agrees with all lambda_j in [0, 1).
 
-    Defined for the four classified shapes; the two routes are independent
-    (interval arithmetic on the closed-form endpoints versus the general
-    exponent computation), so True is a theorem and False a bug.
+    Defined for the five classified shapes; the two routes are independent
+    (exact sign tests against the closed-form endpoints versus the general
+    exponent computation), so True is a theorem and False a bug.  On
+    (p-6, q-1), whose window tuple is empty, it holds exactly when some
+    lambda_j lies outside [0, 1).
     """
     case = low_dim_case(model, label)
-    if case not in _WINDOWS:
+    if case is None:
         raise NotLowDimCase(
             "label (%s, %s) is not one of the classified window shapes" % (label.m, label.n)
         )
     profile = rep_profile(model, label)
     direct = all(0 <= y < profile.big for y in profile.y)
-    member = ratio_in_window(case, Fraction(model.q, model.p))
-    return direct == member
+    return direct == ratio_in_window(case, Fraction(model.q, model.p))

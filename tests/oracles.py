@@ -5,7 +5,7 @@ the library paths they check) so that agreement is a genuine cross-check.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 
 def admissible(p, q, triple):
@@ -85,6 +85,23 @@ def fraction_level(p, q, m, n):
     for _, _, r in kac_exponents(p, q, m, n).values():
         out = lcm(out, r.denominator)
     return out
+
+
+def surd_sign(t, c, d):
+    """Sign of t - c*sqrt(d) for integers t, c and d >= 0, by isqrt.
+
+    For c >= 0, c*sqrt(d) = sqrt(X) with X = c^2 d and root = isqrt(X) <=
+    sqrt(X) < root + 1, equality only when root^2 = X; so t > root gives
+    +1, t < root gives -1, and t = root gives 0 or -1.  Negative c is the
+    mirror image: t + |c| sqrt(d) = -((-t) - |c| sqrt(d)).
+    """
+    if c < 0:
+        return -surd_sign(-t, -c, d)
+    x = c * c * d
+    root = isqrt(x)
+    if t != root:
+        return 1 if t > root else -1
+    return 0 if root * root == x else -1
 
 
 def _valuation(r, x):

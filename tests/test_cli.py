@@ -388,6 +388,34 @@ def test_every_error_class_is_raised_somewhere():
     assert not classes - raised, sorted(classes - raised)
 
 
+def test_every_private_module_name_is_referenced():
+    # a private helper whose last caller is deleted must go with it
+    package = os.path.dirname(minrep.__file__)
+    trees = []
+    for path in glob.glob(os.path.join(package, "*.py")):
+        with open(path) as fh:
+            trees.append(ast.parse(fh.read(), path))
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {sub.id for t in targets for sub in ast.walk(t)
+                            if isinstance(sub, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert private
+    assert not private - used, sorted(private - used)
+
+
 def test_cli_qseries_annihilation(capsys):
     code = cli.main(["qseries", "--expr", "D", "--apply", "eta^8", "--order", "20"])
     out = capsys.readouterr().out.strip()

@@ -32,7 +32,7 @@ from minrep.repdata import SUBSET_CAP, prime_case_closed_forms
 from minrep.selftest import suite_lemmas
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
                            low_dim_case, space_comparison)
-from minrep.errors import DimensionTooLarge, NotPrime, OutOfRange
+from minrep.errors import NotPrime, OutOfRange, OutOfScopeDimension
 
 from oracles import fraction_level, valuation_lemma
 
@@ -96,17 +96,17 @@ def test_level_matches_fraction_oracle_up_to_grid_120(label):
 
 
 def test_level_on_every_box_width_class():
-    # (min(wi, 3), min(wj, 4)) with wi = (p - m)/2 and wj = q - n: each of
-    # the twelve classes keeps a different part of the difference table
+    # (min(wi, 3), min(wj, 5)) with wi = (p - m)/2 and wj = q - n: each of
+    # the fifteen classes keeps a different part of the difference table
     classes = set()
     for p, q in [(7, 8), (7, 9), (101, 120), (117, 119)]:
         for m in (p - 2, p - 4, p - 6, 1):
-            for n in (q - 1, q - 2, q - 3, q - 4, 1):
+            for n in (q - 1, q - 2, q - 3, q - 4, q - 5, 1):
                 if n % 2 == 0:
                     continue
                 assert fast_level(p, q, m, n) == fraction_level(p, q, m, n), (p, q, m, n)
-                classes.add((min((p - m) // 2, 3), min(q - n, 4)))
-    assert classes == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3, 4)}
+                classes.add((min((p - m) // 2, 3), min(q - n, 5)))
+    assert classes == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3, 4, 5)}
 
 
 def test_level_factorization():
@@ -270,7 +270,7 @@ def test_classify_low_dim_examples():
     assert (v.status, v.criterion) == (UNKNOWN, DIM3_UNDETERMINED)
     v = classify_low_dim(validate_model(7, 2), ModuleLabel(1, 1))
     assert (v.status, v.criterion) == (NONCONGRUENCE, DIM3_INFINITE_IMAGE)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(OutOfScopeDimension):
         classify_low_dim(validate_model(5, 7), ModuleLabel(1, 3))
 
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from minrep import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
                     apply_operator, bernoulli, eisenstein, eta_power,
                     modular_derivative, qseries, selftest)
-from minrep.errors import (ExponentMismatch, InhomogeneousOperator, OddIndex,
-                           OddWeight, OutOfRange, WeightMismatch)
+from minrep.errors import (ExponentMismatch, InhomogeneousOperator, OddWeight,
+                           OutOfRange, WeightMismatch)
 
 from oracles import series_product
 
@@ -22,9 +22,9 @@ def test_bernoulli_values():
     assert bernoulli(6) == F(1, 42)
     assert bernoulli(8) == F(-1, 30)
     assert bernoulli(12) == F(-691, 2730)
-    with pytest.raises(OddIndex):
+    with pytest.raises(OddWeight):
         bernoulli(3)
-    with pytest.raises(OddIndex):
+    with pytest.raises(OddWeight):
         bernoulli(0)
 
 

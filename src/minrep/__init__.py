@@ -8,6 +8,10 @@ rho(T), levels, congruence/noncongruence certificates, the comparison of
 1-point function spaces with holomorphic vector-valued modular forms, and
 an exact q-series engine for the ring of modular differential operators
 that verifies the underlying identities.
+
+The q-series names resolve through the module __getattr__ below, which
+imports minrep.qseries on first use: the classifier never needs the
+engine, so importing the package (or minrep.cli) does not load it.
 """
 
 from .congruence import (CongruenceVerdict, Level,
@@ -18,9 +22,6 @@ from .core import (MinimalModel, ModuleLabel, canonical_label, central_charge,
                    conformal_weight, list_modules, validate_model)
 from .errors import MinrepError
 from .fusion import rep_dimension, self_coupled_partners
-from .qseries import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
-                      apply_operator, bernoulli, eisenstein, eta_power,
-                      modular_derivative)
 from .repdata import (MinimalWeightProfile, RepProfile,
                       irreducibility_certificate, minimal_weight_identity,
                       minimal_weight_profile, prime_case_closed_forms,
@@ -30,6 +31,20 @@ from .spaces import (SpaceComparison, low_dim_case, ratio_bounds,
                      space_comparison)
 
 __version__ = "0.1.0"
+
+_QSERIES_NAMES = frozenset({
+    "DEFAULT_ORDER", "ModularForm", "ModularOperator", "QSeries",
+    "apply_operator", "bernoulli", "eisenstein", "eta_power",
+    "modular_derivative",
+})
+
+
+def __getattr__(name):
+    if name in _QSERIES_NAMES:
+        from . import qseries
+        return getattr(qseries, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "CongruenceVerdict", "DEFAULT_ORDER", "Level", "MinimalModel",

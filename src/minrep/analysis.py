@@ -130,8 +130,15 @@ def analyze(p, q, m, n):
     return record
 
 
+#: json.dumps's encoder checks every container for a cycle; a record
+#: never contains itself (analyze builds each one fresh, and the one list
+#: it holds twice, level_factorization, holds only lists of ints), so
+#: that bookkeeping is skipped
+_JSON_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def record_to_json(record):
-    return json.dumps(record)
+    return _JSON_ENCODER.encode(record)
 
 
 def record_to_table(record):

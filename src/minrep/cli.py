@@ -2,11 +2,16 @@
 
 Subcommands: analyze (one label), scan (grid atlas), qseries (operator
 expressions applied to builtin series), selftest (verification sweeps).
+Each command imports what only it needs when it runs: multiprocessing
+for a scan that runs a pool, the q-series engine for qseries and
+selftest, and the sweeps for selftest; so analyze and a serial scan
+start without them.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 64 usage
-error, 65 expression parse error.  The MINREP_TRUNCATION environment
-variable overrides the default truncation order 40 for qseries; from
-either source the order must lie in [1, qseries.MAX_ORDER = 10000].
+error (scan bounds and --grid above core.MAX_INDEX included), 65
+expression parse error.  The MINREP_TRUNCATION environment variable
+overrides the default truncation order 40 for qseries; from either
+source the order must lie in [1, qseries.MAX_ORDER = 10000].
 """
 
 import argparse
@@ -16,10 +21,9 @@ import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
-from multiprocessing import Pool
 
-from . import analysis, qseries, selftest
-from .core import list_modules, models
+from . import analysis
+from .core import MAX_INDEX, list_modules, models
 from .errors import ExpressionError, InhomogeneousOperator, MinrepError
 
 EXIT_OK = 0
@@ -139,8 +143,8 @@ def _scan_cell(fmt, condition, cell):
 
 
 def cmd_scan(args):
-    if args.p_max < 2 or args.q_max < 2:
-        raise _UsageError("scan bounds must be >= 2")
+    if not (2 <= args.p_max <= MAX_INDEX and 2 <= args.q_max <= MAX_INDEX):
+        raise _UsageError("scan bounds must lie in [2, MAX_INDEX = %d]" % MAX_INDEX)
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1, got %s" % args.jobs)
     # a picklable function, so that each line is rendered where its cell
@@ -165,6 +169,17 @@ def cmd_scan(args):
     else:
         sys.stdout.writelines(map(scan_cell, cells))
     return EXIT_OK
+
+
+def Pool(processes):
+    """A multiprocessing pool of the given size.
+
+    multiprocessing is imported here, on first use, so that analyze and a
+    scan without a pool never load it.  cmd_scan looks this binding up
+    when it runs, so tests and perfbench's tracer replace it by name.
+    """
+    import multiprocessing
+    return multiprocessing.Pool(processes)
 
 
 #: cells per pool task, and cells handed to the pool at once
@@ -194,6 +209,7 @@ _FACTOR_RE = re.compile(r"(?:(\d+(?:/\d+)?)|(G4|G6|D)(?:\^(\d+))?)$")
 
 def parse_operator(expr, order):
     """Parse sums of coeff*G4^a*G6^b*D^n, with a, b, n <= MAX_POWER, into a ModularOperator."""
+    from . import qseries
     text = expr.replace(" ", "")
     if not text:
         raise ExpressionError("empty expression")
@@ -253,6 +269,7 @@ _BUILTIN_RE = re.compile(r"eta(?:\^(\d+))?$|G(\d+)$")
 
 
 def parse_builtin_series(name, order):
+    from . import qseries
     match = _BUILTIN_RE.fullmatch(name.replace(" ", ""))
     if match is None:
         raise ExpressionError("unknown builtin series %r" % name)
@@ -270,6 +287,7 @@ def parse_builtin_series(name, order):
 
 
 def cmd_qseries(args):
+    from . import qseries
     order = args.order
     if order is None:
         env = os.environ.get("MINREP_TRUNCATION")
@@ -291,6 +309,10 @@ def cmd_qseries(args):
 
 
 def cmd_selftest(args):
+    if args.grid is not None and args.grid > MAX_INDEX:
+        raise _UsageError("--grid must be at most MAX_INDEX = %d, got %s"
+                          % (MAX_INDEX, args.grid))
+    from . import selftest
     results = selftest.run_selftests(args.suite, args.grid)
     for result in results:
         status = "ok" if result.ok else "FAIL"

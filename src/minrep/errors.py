@@ -10,7 +10,8 @@ class MinrepError(ValueError):
 
 
 class NotAnInteger(MinrepError, TypeError):
-    """An index p, q, m or n is not a plain int (bool and float included)."""
+    """An index p, q, m or n is not a plain int, or a window ratio is not
+    an int or a Fraction (bool, float and str included)."""
 
 
 class OutOfRange(MinrepError):

@@ -35,7 +35,7 @@ lambda_3 < 1 forces q/p < 2/3.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotLowDimCase
+from .errors import NotAnInteger, NotLowDimCase
 # irreducibility_certificate stays bound here so that call-site wrappers of
 # spaces.irreducibility_certificate resolve
 from .repdata import irreducibility_certificate, rep_profile
@@ -107,10 +107,15 @@ def ratio_bounds(case):
 def ratio_in_window(case, ratio):
     """Exact membership of the rational ratio in the case's windows.
 
-    With ratio = num/den, den > 0, the sign of ratio - (a + c*sqrt(d))/e
-    is the sign of e*num - a*den - c*den*sqrt(d).
+    The ratio must be a plain int or a Fraction; anything else (bool,
+    float, str, Decimal) raises NotAnInteger, so that no binary expansion
+    decides a window end.  With ratio = num/den, den > 0, the sign of
+    ratio - (a + c*sqrt(d))/e is the sign of e*num - a*den - c*den*sqrt(d).
     """
-    num, den = Fraction(ratio).as_integer_ratio()
+    if type(ratio) not in (int, Fraction):
+        raise NotAnInteger("the ratio must be an int or a Fraction, got %r of type %s"
+                           % (ratio, type(ratio).__name__))
+    num, den = ratio.as_integer_ratio()
     signs = [[_surd_sign(e * num - a * den, c * den, d) for a, c, d, e in window]
              for window in ratio_bounds(case)]
     return any(lo >= 0 and hi < 0 for lo, hi in signs)

@@ -9,9 +9,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import minrep
-from minrep import analysis, cli, errors, qseries
-from minrep.core import list_modules, models
+from minrep import analysis, cli, errors, qseries, selftest
+from minrep.core import MAX_INDEX, list_modules, models
 from minrep.spaces import WINDOW_FACTS_ONLY
 
 
@@ -61,6 +63,17 @@ def test_record_json_roundtrip_small_grid():
                 for n in range(1, q):
                     record = analysis.analyze(p, q, m, n)
                     assert json.loads(analysis.record_to_json(record)) == record
+
+
+def test_record_json_matches_json_dumps_byte_for_byte():
+    # record_to_json skips json.dumps's cycle check; the text must not move
+    count = 0
+    for model in models(20, 20):
+        for label in list_modules(model):
+            record = analysis.analyze(model.p, model.q, label.m, label.n)
+            assert analysis.record_to_json(record) == json.dumps(record)
+            count += 1
+    assert count == 7081
 
 
 def test_cli_analyze_json(capsys):
@@ -185,6 +198,21 @@ def test_cli_scan_rejects_jobs_below_one(capsys):
         code = cli.main(["scan", "--p-max", "5", "--q-max", "4", "--jobs", jobs])
         assert code == cli.EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_rejects_grid_bounds_over_max_index(capsys, monkeypatch):
+    # refused before any work: models and the sweeps are never reached
+    def unreachable(*args):
+        raise AssertionError("a grid over MAX_INDEX was run")
+
+    monkeypatch.setattr(cli, "models", unreachable)
+    monkeypatch.setattr(selftest, "run_selftests", unreachable)
+    over = str(MAX_INDEX + 1)
+    for argv in (["scan", "--p-max", over, "--q-max", "3"],
+                 ["scan", "--p-max", "3", "--q-max", over],
+                 ["selftest", "--suite", "lemmas", "--grid", over]):
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        assert "MAX_INDEX" in capsys.readouterr().err
 
 
 def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
@@ -538,12 +566,49 @@ def test_cli_selftest_fails_a_suite_that_ran_no_checks(capsys):
 
 
 def test_cli_import_leaves_numpy_out():
+    # a command loads the pool's multiprocessing, the q-series engine and
+    # the sweeps only if it uses them
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    script = """if True:
+        import contextlib, io, sys
+        from minrep import cli
+
+        def loaded(*argv):
+            code = None
+            if argv:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(list(argv))
+            heavy = ("numpy", "multiprocessing", "minrep.qseries", "minrep.selftest")
+            print(code, [name for name in heavy if name in sys.modules])
+
+        loaded()
+        loaded("analyze", "--p", "5", "--q", "7", "--m", "1", "--n", "3")
+        loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "1")
+        cli.os.cpu_count = lambda: 1
+        loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "8")
+        loaded("selftest", "--suite", "ratios", "--grid", "10")
+    """
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, minrep.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["None []", "0 []", "0 []", "0 []",
+                                "0 ['minrep.qseries', 'minrep.selftest']"]
+
+
+def test_package_loads_the_qseries_names_on_first_use():
+    # minrep's module __getattr__ serves the q-series part of __all__
+    assert minrep._QSERIES_NAMES <= set(minrep.__all__)
+    for name in minrep._QSERIES_NAMES:
+        assert getattr(minrep, name) is getattr(qseries, name)
+    from minrep import QSeries, eisenstein
+    assert (QSeries, eisenstein) == (qseries.QSeries, qseries.eisenstein)
+    namespace = {}
+    exec("from minrep import *", namespace)
+    assert set(minrep.__all__) <= set(namespace)
+    assert namespace["modular_derivative"] is qseries.modular_derivative
+    with pytest.raises(AttributeError):
+        minrep.no_such_name
 
 
 def test_cli_scan_identical_under_python_O():

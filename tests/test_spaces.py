@@ -1,6 +1,7 @@
 """Lambda windows, exact surd comparisons and ratio/exponent consistency."""
 
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -12,7 +13,7 @@ from minrep import (ModuleLabel, low_dim_case, ratio_bounds, ratio_in_window,
                     validate_model)
 from minrep import selftest, spaces
 from minrep.core import models
-from minrep.errors import NotLowDimCase
+from minrep.errors import NotAnInteger, NotLowDimCase
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, EQUAL,
                            GENERATOR_NOT_HOLOMORPHIC, PROPER_CONTAINMENT,
                            WINDOW_FACTS_ONLY, _surd_sign)
@@ -90,6 +91,17 @@ def test_ratio_bound_examples():
         ratio_bounds("d9")
     assert ratio_bounds(DIM3_II) == ()
     assert not ratio_in_window(DIM3_II, Fraction(2, 3))
+
+
+def test_ratio_in_window_takes_only_exact_ratios():
+    # the float 2/3 lies just below d1's closed left end 2/3, so a float
+    # would decide on its binary expansion; it is refused with the rest
+    assert ratio_in_window(DIM1, 2)
+    assert not ratio_in_window(DIM1, 17)
+    for ratio in (2 / 3, "2/3", True, Decimal(2) / 3, Decimal("0.75")):
+        with pytest.raises(NotAnInteger):
+            ratio_in_window(DIM1, ratio)
+    assert issubclass(NotAnInteger, TypeError)
 
 
 def test_dim3_window_gap():

@@ -11,7 +11,6 @@ intertwining action; their records keep only the bookkeeping fields and set
 "acting" to false.
 """
 
-import csv
 import json
 from functools import lru_cache
 from math import gcd
@@ -172,33 +171,26 @@ def _csv_cell(value):
         return "true" if value else "false"
     if isinstance(value, list):
         return ";".join(value)
-    return value
-
-
-class _Echo:
-    """File stand-in whose write returns its text, so that a csv writer
-    hands back each line it renders."""
-
-    def write(self, text):
-        return text
-
-
-_CSV_WRITER = csv.writer(_Echo(), lineterminator="\n")
+    return str(value)
 
 
 def record_to_csv_line(record):
-    """The CSV line of one record, with its newline."""
+    """The CSV line of one record, with its newline.
+
+    The cells are joined as they are: each is empty or made of digits,
+    lowercase letters, "/", "-" and ";", so none can need quoting.
+    """
     verdict = record.get("verdict", {})
     spaces = record.get("spaces", {})
     row = dict(record, verdict_status=verdict.get("status"),
                verdict_criterion=verdict.get("criterion"),
                spaces_status=spaces.get("status"), ratio_check=spaces.get("ratio_check"))
-    return _CSV_WRITER.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
+    return ",".join([_csv_cell(row.get(col)) for col in CSV_COLUMNS]) + "\n"
 
 
 def records_to_csv(records):
     """CSV lines of the records: the header line, then one line per record
     as it is drawn from the iterable records."""
-    yield _CSV_WRITER.writerow(CSV_COLUMNS)
+    yield ",".join(CSV_COLUMNS) + "\n"
     for record in records:
         yield record_to_csv_line(record)

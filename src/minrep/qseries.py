@@ -148,8 +148,6 @@ class QSeries:
             out[j - lo] += other.coeffs[j - shift]
         return QSeries(self.offset + lo, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-other)
 
@@ -170,8 +168,6 @@ class QSeries:
                     out[i + j] += x * y
         den = da * db
         return QSeries(self.offset + other.offset, (Fraction(c, den) for c in out))
-
-    __rmul__ = __mul__
 
     def q_derivative(self):
         """q d/dq: multiplies the q^(offset+j) coefficient by offset + j."""
@@ -250,8 +246,6 @@ class ModularForm:
         if isinstance(other, (int, Fraction)):
             return ModularForm(self.weight, self.series * other)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def is_zero(self):
         return self.series.is_zero()
@@ -353,7 +347,8 @@ class ModularOperator:
     @classmethod
     def derivative(cls, order=DEFAULT_ORDER):
         """The bare D, a degree-1 operator with coefficient 1."""
-        return cls((None, _one_form(order)))
+        one = ModularForm(Fraction(0), QSeries(0, (Fraction(1),) + (Fraction(0),) * order))
+        return cls((None, one))
 
     def __add__(self, other):
         if not isinstance(other, ModularOperator):
@@ -371,7 +366,7 @@ class ModularOperator:
 
     def compose(self, other):
         """self after other, via D phi = phi D + (D_wt phi)."""
-        slots = {}
+        total = ModularOperator(())
         for i, phi in enumerate(self.coeffs):
             if phi is None:
                 continue
@@ -380,22 +375,11 @@ class ModularOperator:
                     continue
                 chain = psi
                 for t in range(i + 1):
-                    deg = i - t + j
                     term = phi * chain * comb(i, t)
-                    if deg in slots:
-                        slots[deg] = slots[deg] + term
-                    else:
-                        slots[deg] = term
+                    total = total + ModularOperator((None,) * (i - t + j) + (term,))
                     if t < i:
                         chain = chain.derivative()
-        if not slots:
-            return ModularOperator(())
-        out = [slots.get(i) for i in range(max(slots) + 1)]
-        return ModularOperator(out)
-
-
-def _one_form(order):
-    return ModularForm(Fraction(0), QSeries(0, (Fraction(1),) + (Fraction(0),) * order))
+        return total
 
 
 def apply_operator(op, components, weight):

@@ -1,11 +1,14 @@
 """Analysis records, serialization round trips and the CLI surface."""
 
 import ast
+import csv
 import glob
 import importlib
 import importlib.util
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -76,6 +79,34 @@ def test_record_json_matches_json_dumps_byte_for_byte():
     assert count == 7081
 
 
+def _csv_module_line(cells):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+def test_csv_lines_match_the_csv_module_byte_for_byte():
+    # the rows are joined without quoting; csv.writer, which quotes only
+    # where a cell needs it, must render every row of grid 20 the same
+    assert next(analysis.records_to_csv(())) == _csv_module_line(analysis.CSV_COLUMNS)
+    cell_chars = re.compile(r"[0-9a-z/;-]*")
+    acting = set()
+    for model in models(20, 20):
+        for label in list_modules(model):
+            record = analysis.analyze(model.p, model.q, label.m, label.n)
+            verdict = record.get("verdict", {})
+            spaces = record.get("spaces", {})
+            row = dict(record, verdict_status=verdict.get("status"),
+                       verdict_criterion=verdict.get("criterion"),
+                       spaces_status=spaces.get("status"),
+                       ratio_check=spaces.get("ratio_check"))
+            cells = [analysis._csv_cell(row.get(col)) for col in analysis.CSV_COLUMNS]
+            assert all(cell_chars.fullmatch(cell) for cell in cells), cells
+            assert analysis.record_to_csv_line(record) == _csv_module_line(cells)
+            acting.add(record["acting"])
+    assert acting == {True, False}
+
+
 def test_cli_analyze_json(capsys):
     code = cli.main(["analyze", "--p", "3", "--q", "4", "--m", "1", "--n", "3"])
     out = capsys.readouterr().out
@@ -104,6 +135,8 @@ def test_cli_usage_error(capsys):
     assert code == 64
     code = cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", "bogus"])
     assert code == 64
+    assert cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", "verdict=bogus"]) == 64
+    assert "unknown verdict 'bogus'" in capsys.readouterr().err
     # dim and level take digits only, checked before any worker starts
     for spec in ("dim=abc", "level=x1"):
         assert cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", spec,
@@ -471,6 +504,8 @@ def test_cli_qseries_derivative_of_g4(capsys):
 def test_cli_qseries_parse_errors(capsys):
     assert cli.main(["qseries", "--expr", "Q^2", "--apply", "G4"]) == 65
     capsys.readouterr()
+    assert cli.main(["qseries", "--expr", "", "--apply", "G4"]) == 65
+    assert capsys.readouterr().err == "expression error: empty expression\n"
     assert cli.main(["qseries", "--expr", "D", "--apply", "zeta"]) == 65
     capsys.readouterr()
     # inhomogeneous sums are rejected
@@ -511,6 +546,32 @@ def test_cli_qseries_parse_errors(capsys):
         assert cli.main(["qseries", "--expr", "D", "--apply", "eta",
                          "--order", str(order)]) == 64
         capsys.readouterr()
+
+
+def test_cli_qseries_subtraction_and_a_leading_minus(capsys):
+    from minrep.qseries import eisenstein
+    # G4 * (D_4 G4) - 14 G6 * G4 = 0, since D_4 G4 = 14 G6
+    assert cli.main(["qseries", "--expr", "G4*D - 14*G6", "--apply", "G4",
+                     "--order", "6"]) == 0
+    assert capsys.readouterr().out == "q^(0/1) * [0, 0, 0, 0, 0, 0, 0]\n"
+    g4 = eisenstein(4, 6).series
+    assert cli.main(["qseries", "--expr", "G4", "--apply", "G4", "--order", "6"]) == 0
+    assert capsys.readouterr().out == (g4 * g4).serialize() + "\n"
+    assert cli.main(["qseries", "--expr=-G4", "--apply", "G4", "--order", "6"]) == 0
+    assert capsys.readouterr().out == (-(g4 * g4)).serialize() + "\n"
+    # argparse reads a separate "-G4" as an option, not as the expression
+    assert cli.main(["qseries", "--expr", "-G4", "--apply", "G4"]) == 64
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_cli_selftest_lists_the_first_ten_failures(capsys, monkeypatch):
+    messages = ["failure %d" % i for i in range(12)]
+    monkeypatch.setattr(selftest, "run_selftests",
+                        lambda suite, grid: [selftest.SuiteResult("monic", 12, messages)])
+    assert cli.main(["selftest", "--suite", "monic"]) == cli.EXIT_SELFTEST
+    out = capsys.readouterr().out.splitlines()
+    assert out == (["monic: 12 checks, 12 failures [FAIL]"]
+                   + ["  failure %d" % i for i in range(10)])
 
 
 def test_cli_qseries_bad_env(capsys, monkeypatch):

@@ -63,6 +63,8 @@ def test_eta_24_is_discriminant_shape():
 def test_eta_leading_exponent():
     for w in (1, 5, 24, 30):
         assert eta_power(w, 8).series.offset == F(w, 24)
+    with pytest.raises(OutOfRange):
+        eta_power(0)
 
 
 def test_modular_derivative_annihilates_eta_powers():
@@ -91,6 +93,7 @@ def test_qseries_normalisation_and_coefficient():
     assert s.coefficient(F(7, 3)) == 2
     assert s.coefficient(F(10, 3)) == 5
     assert s.coefficient(0) == 0          # below the window: exactly zero
+    assert s.coefficient(F(-2, 3)) == 0   # the same, on the lattice
     assert s.coefficient(F(1, 2)) == 0    # off the lattice: exactly zero
     with pytest.raises(OutOfRange):
         s.coefficient(F(13, 3))
@@ -106,6 +109,8 @@ def test_qseries_add_alignment():
         a + QSeries(F(1, 3), (1,))
     zero = QSeries(0, (0, 0))
     assert (a + zero) == a
+    # a zero series on another lattice adds nothing, on either side
+    assert zero + a == a
 
 
 def test_qseries_add_zero_keeps_the_shorter_window():
@@ -164,10 +169,16 @@ def test_operator_homogeneity():
     # disjoint slots with different raises (4 and 6) are still rejected
     with pytest.raises(InhomogeneousOperator):
         ModularOperator.from_form(g4) + ModularOperator((None, g4))
-    # the zero map adds as an identity on either side
+    # the zero map adds as an identity on either side, and composes to
+    # the zero map on either side
     for total in (zero + op, op + zero):
         assert total.coeffs == op.coeffs
         assert total.weight_raise == op.weight_raise
+    for composed in (zero.compose(op), op.compose(zero)):
+        assert composed.coeffs == ()
+        assert composed.weight_raise is None
+    # trailing empty slots are dropped
+    assert ModularOperator((g4, None)).coeffs == (g4,)
 
 
 def test_operator_compose_leibniz():
@@ -339,3 +350,36 @@ def test_selftest_operator_checks_compare_nonzero_series(monkeypatch):
     assert suite.ok
     assert len(results) == 9
     assert not any(series.is_zero() for series in results)
+
+
+def test_series_and_forms_take_scalars_on_the_right_only():
+    s = QSeries(0, (1, 2))
+    g4 = eisenstein(4, 4)
+    assert (s * 3).coeffs == (F(3), F(6))
+    for bad in (lambda: 3 * s, lambda: 3 + s, lambda: sum([s, s]), lambda: 3 * g4):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_operators_agree_truth_table():
+    agree = selftest._operators_agree
+    g4, g6 = eisenstein(4), eisenstein(6)
+    zero6 = ModularForm(F(6), QSeries(0, (0,) * 5))
+    g4_as_weight_6 = ModularForm(F(6), g4.series)
+    cases = [
+        # an empty slot agrees with a zero form in the same slot
+        (ModularOperator((None, g4)), ModularOperator((zero6, g4)), True),
+        (ModularOperator((zero6, g4)), ModularOperator((None, g4)), True),
+        (ModularOperator((g6, g4)), ModularOperator((g6, g4)), True),
+        (ModularOperator(()), ModularOperator(()), True),
+        # one differing slot
+        (ModularOperator((g6, g4)), ModularOperator((g6 * 2, g4)), False),
+        (ModularOperator((g6, g4)), ModularOperator((None, g4)), False),
+        # different lengths
+        (ModularOperator.from_form(g6), ModularOperator((g6, g4)), False),
+        # different raises, although the series are equal
+        (ModularOperator.from_form(g4), ModularOperator.from_form(g4_as_weight_6), False),
+    ]
+    for a, b, want in cases:
+        assert agree(a, b) is want
+        assert agree(b, a) is want

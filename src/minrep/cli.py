@@ -2,16 +2,19 @@
 
 Subcommands: analyze (one label), scan (grid atlas), qseries (operator
 expressions applied to builtin series), selftest (verification sweeps).
-Each command imports what only it needs when it runs: multiprocessing
-for a scan that runs a pool, the q-series engine for qseries and
-selftest, and the sweeps for selftest; so analyze and a serial scan
-start without them.
+Each command imports what only it needs when it runs: the q-series
+engine for qseries and selftest, and the sweeps for selftest; so analyze
+and scan start without them.  scan --jobs N runs its cells in N forked
+workers (Pool), which send back rendered text over pipes; where os.fork
+is missing it runs serially.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 64 usage
 error (scan bounds and --grid above core.MAX_INDEX included), 65
-expression parse error.  The MINREP_TRUNCATION environment variable
-overrides the default truncation order 40 for qseries; from either
-source the order must lie in [1, qseries.MAX_ORDER = 10000].
+expression parse error, 141 broken pipe (stdout was closed before all
+output was written: 128 + SIGPIPE, with no traceback and no worker left
+running).  The MINREP_TRUNCATION environment variable overrides the
+default truncation order 40 for qseries; from either source the order
+must lie in [1, qseries.MAX_ORDER = 10000].
 """
 
 import argparse
@@ -31,6 +34,7 @@ EXIT_SELFTEST = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 EXIT_EXPRESSION = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -81,12 +85,22 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "qseries":
-            return cmd_qseries(args)
-        return cmd_selftest(args)
+            code = cmd_analyze(args)
+        elif args.command == "scan":
+            code = cmd_scan(args)
+        elif args.command == "qseries":
+            code = cmd_qseries(args)
+        else:
+            code = cmd_selftest(args)
+        sys.stdout.flush()  # so that a closed stdout is met here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull, so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -147,16 +161,18 @@ def cmd_scan(args):
         raise _UsageError("scan bounds must lie in [2, MAX_INDEX = %d]" % MAX_INDEX)
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1, got %s" % args.jobs)
-    # a picklable function, so that each line is rendered where its cell
-    # is analyzed and only text crosses the pool's pipe
+    # each line is rendered where its cell is analyzed, so that only text
+    # crosses the pool's pipes; a partial of a module function, so that a
+    # multiprocessing pool put in Pool's place can pickle it too
     scan_cell = partial(_scan_cell, args.format, _parse_filter(args.filter))
     cells = (
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)
         for label in list_modules(model)
     )
-    # more workers than CPUs or cells only adds start-up cost
-    jobs = min(args.jobs, os.cpu_count() or 1)
+    # more workers than CPUs or cells only adds start-up cost, and the
+    # pool needs os.fork
+    jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     head = list(islice(cells, jobs))
     jobs = min(jobs, len(head))
     cells = chain(head, cells)
@@ -165,43 +181,126 @@ def cmd_scan(args):
         sys.stdout.writelines(analysis.records_to_csv(()))
     if jobs > 1:
         with Pool(jobs) as pool:
-            sys.stdout.writelines(_pool_records(pool, scan_cell, cells))
+            sys.stdout.writelines(pool.imap(scan_cell, cells, chunksize=_CHUNK))
     else:
         sys.stdout.writelines(map(scan_cell, cells))
     return EXIT_OK
 
 
-def Pool(processes):
-    """A multiprocessing pool of the given size.
+class Pool:
+    """A pool of forked workers for one imap; a context manager.
 
-    multiprocessing is imported here, on first use, so that analyze and a
-    scan without a pool never load it.  cmd_scan looks this binding up
-    when it runs, so tests and perfbench's tracer replace it by name.
+    imap forks the workers once.  Each worker inherits the input iterator
+    as it stands at the fork, cuts it into the same chunks as the parent
+    and renders chunk k only when k % processes is its index, writing
+    each result as a length-prefixed frame of UTF-8 text to its own pipe.
+    The parent reads chunk k from worker k % processes, so results come
+    back in input order and nothing is pickled.  A worker runs ahead of
+    the reader only by what its pipe holds (_PIPE_BYTES where the kernel
+    allows it), so memory stays bounded however long the input.
+
+    func must return str.  cmd_scan looks this binding up when it runs,
+    so tests and perfbench's tracer replace it by name.  On leaving the
+    with block the pool closes its pipes and waits for every worker; on
+    an exception it kills them first.
     """
-    import multiprocessing
-    return multiprocessing.Pool(processes)
+
+    def __init__(self, processes):
+        self._processes = processes
+        self._workers = []  # (pid, read end of its pipe)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            import signal
+            for pid, _ in self._workers:
+                os.kill(pid, signal.SIGKILL)
+        for _, reader in self._workers:
+            reader.close()  # a worker still writing gets EPIPE and ends
+        for pid, _ in self._workers:
+            os.waitpid(pid, 0)
+        self._workers = []
+        return False
+
+    def imap(self, func, iterable, chunksize=1):
+        import fcntl
+        items = iter(iterable)
+        chunks = iter(lambda: list(islice(items, chunksize)), [])
+        for index in range(self._processes):
+            read_fd, write_fd = os.pipe()
+            try:
+                # a default 64 KiB pipe holds less than one chunk of long
+                # JSON lines, so a worker would wait for the reader instead
+                # of rendering its next chunk; where the size cannot be set
+                # (not Linux, or over the user's pipe quota) it stays
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (AttributeError, OSError):
+                pass
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                self._work(func, chunks, index, read_fd, write_fd)
+            os.close(write_fd)
+            self._workers.append((pid, open(read_fd, "rb")))
+        return self._results(chunks)
+
+    def _results(self, chunks):
+        for k, chunk in enumerate(chunks):
+            pid, reader = self._workers[k % self._processes]
+            for _ in chunk:
+                size = int.from_bytes(_read(reader, _FRAME_BYTES, pid), "little")
+                yield _read(reader, size, pid).decode()
+
+    def _work(self, func, chunks, index, read_fd, write_fd):
+        """Render this worker's chunks into write_fd, then end the process.
+
+        The pipe is closed only by os._exit, so that the parent meets its
+        end only after a traceback has been written.  os._exit also keeps
+        the worker from flushing the stdout buffer it inherited and from
+        running the parent's exit handlers."""
+        code = 1
+        try:
+            os.close(read_fd)
+            for _, reader in self._workers:
+                reader.close()
+            pipe = open(write_fd, "wb")
+            for k, chunk in enumerate(chunks):
+                if k % self._processes == index:
+                    for item in chunk:
+                        data = func(item).encode()
+                        pipe.write(len(data).to_bytes(_FRAME_BYTES, "little") + data)
+            pipe.flush()
+            code = 0
+        except BrokenPipeError:
+            pass  # the parent stopped reading
+        except BaseException:
+            import traceback
+            traceback.print_exc()
+        finally:
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
 
 
-#: cells per pool task, and cells handed to the pool at once
+def _read(reader, size, pid):
+    data = reader.read(size)
+    if len(data) < size:
+        raise RuntimeError("pool worker %d ended before sending all its results" % pid)
+    return data
+
+
+#: cells per pool chunk, bytes of the length prefix of each result, and
+#: bytes each worker's pipe is asked to hold (Linux's unprivileged maximum)
 _CHUNK = 64
-_WINDOW = 8 * _CHUNK
-
-
-def _pool_records(pool, scan_cell, cells):
-    """scan_cell of each cell from the pool, in order.
-
-    Pool.imap reads all of its input at once and queues every result the
-    writer has not yet taken, so a writer slower than the workers would
-    hold a backlog that grows with the grid.  The cells go to the pool a
-    window at a time instead, one window ahead of the writer, so that at
-    most two windows of results are held.
-    """
-    windows = iter(lambda: list(islice(cells, _WINDOW)), [])
-    ahead = iter(())
-    for window in windows:
-        current, ahead = ahead, pool.imap(scan_cell, window, chunksize=_CHUNK)
-        yield from current
-    yield from ahead
+_FRAME_BYTES = 4
+_PIPE_BYTES = 1 << 20
 
 
 _FACTOR_RE = re.compile(r"(?:(\d+(?:/\d+)?)|(G4|G6|D)(?:\^(\d+))?)$")

@@ -6,11 +6,13 @@ import glob
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -183,8 +185,8 @@ def test_cli_scan_repeat_runs_identical(capsys, monkeypatch):
         second = capsys.readouterr().out
         assert first.count("\n") > 50
         assert first == second
-    # a real two-process pool over 2,556 cells, more than four windows,
-    # against the serial scan, in both formats and through the filter
+    # a real two-process pool over 2,556 cells, 40 chunks, against the
+    # serial scan, in both formats and through the filter
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     args = ["scan", "--p-max", "16", "--q-max", "16"]
     for extra, lines in [([], 2556),
@@ -252,7 +254,7 @@ def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
     sizes = []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, maps serially."""
+        """Stands in for cli.Pool: records its size, maps serially."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -285,42 +287,115 @@ def test_cli_scan_clamps_jobs_to_cpus_and_cells(capsys, monkeypatch):
     assert cli.main(["scan", "--p-max", "20", "--q-max", "20", "--jobs", "1",
                      "--filter", "dim=1"]) == 0
     assert capsys.readouterr().out == clamped
+    # the pool forks, so without os.fork the scan runs serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(cli.os, "fork")
+    assert cli.main(["scan", "--p-max", "20", "--q-max", "20", "--jobs", "4",
+                     "--filter", "dim=1"]) == 0
+    assert capsys.readouterr().out == clamped
+    assert sizes == [4, 3]
 
 
-def test_cli_scan_pool_holds_at_most_two_windows(capsys, monkeypatch):
-    # a pool reads all the input it is given at once; the scan gives it one
-    # window of cells at a time, one window ahead of the writer, so a slow
-    # writer never holds more than two windows of records
-    lag = []
-    written = [0]
+@pytest.mark.parametrize("processes", [2, 3])
+def test_cli_pool_reads_its_input_lazily_and_reaps_its_workers(processes, capfd):
+    # a worker runs ahead of the reader only by what its pipe holds: a pool
+    # that read its input eagerly would never return on an endless iterator.
+    # The workers, still writing, meet the closed pipes and end quietly.
+    start = time.monotonic()
+    with cli.Pool(processes) as pool:
+        results = pool.imap(str, itertools.count(), chunksize=64)
+        assert [next(results) for _ in range(1000)] == [str(i) for i in range(1000)]
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr().err == ""
 
-    class EagerPool:
-        """Stands in for multiprocessing.Pool: maps all its input at once."""
 
-        def __init__(self, processes):
-            pass
+def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
+    # a cell that raises inside a worker: its traceback reaches stderr, the
+    # scan fails on the output it wrote so far, and every worker is reaped
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    script = """if True:
+        import os, sys
+        from minrep import analysis, cli
+        analyze = analysis.analyze
 
-        def __enter__(self):
-            return self
+        def failing(p, q, m, n):
+            if (p, q, m, n) == (11, 7, 1, 2):
+                raise ValueError("cell %d %d %d %d fails" % (p, q, m, n))
+            return analyze(p, q, m, n)
 
-        def __exit__(self, *exc):
-            return False
+        analysis.analyze = failing
+        cli.os.cpu_count = lambda: 2
+        try:
+            cli.main(sys.argv[1:])
+        finally:
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left", file=sys.stderr)
+    """
+    args = ["scan", "--p-max", "12", "--q-max", "12", "--jobs", "2"]
+    failed = subprocess.run([sys.executable, "-c", script, *args],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                            text=True, timeout=60)
+    assert failed.returncode != 0
+    assert "Traceback" in failed.stderr
+    assert "in failing" in failed.stderr
+    assert "ValueError: cell 11 7 1 2 fails" in failed.stderr
+    assert "ended before sending all its results" in failed.stderr
+    assert "no child left" in failed.stderr
+    full = subprocess.run([sys.executable, "-m", "minrep.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+    assert full.startswith(failed.stdout) and len(failed.stdout) < len(full)
 
-        def imap(self, func, iterable, chunksize=None):
-            return iter([func(x) for x in iterable])
 
-    def analyze(p, q, m, n):
-        written[0] += capsys.readouterr().out.count("\n")
-        lag.append(len(lag) - written[0])
-        return {"p": p, "q": q, "m": m, "n": n}
+def test_cli_broken_pipe_exits_141_without_traceback():
+    # the reader closes stdout after the first line, or before any; the
+    # command ends without a traceback, with exit code 141, and leaves no
+    # process in its group.  stdout is block-buffered, as a user gets it,
+    # so a small output meets the closed pipe only when it is flushed.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    script = "from minrep import cli; cli.os.cpu_count = lambda: 2; cli.entry()"
+    scan = ["scan", "--p-max", "16", "--q-max", "16", "--jobs"]
+    for argv, lines in [(scan + ["1"], 1), (scan + ["2"], 1),
+                        (["analyze", "--p", "5", "--q", "7", "--m", "1", "--n", "3"], 0)]:
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        for _ in range(lines):
+            assert proc.stdout.readline().startswith(b'{"p": ')
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        finally:
+            proc.kill()
+            err = proc.stderr.read()
+            proc.stderr.close()
+        assert err == b"", err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
-    monkeypatch.setattr(cli, "Pool", EagerPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.analysis, "analyze", analyze)
-    assert cli.main(["scan", "--p-max", "30", "--q-max", "30", "--jobs", "2"]) == 0
-    written[0] += capsys.readouterr().out.count("\n")
-    assert written[0] == len(lag) > 10 * cli._WINDOW
-    assert cli._WINDOW < max(lag) <= 2 * cli._WINDOW
+
+def test_cli_pool_kills_its_workers_on_an_exception():
+    # worker 1 is busy for a minute on its first item; an exception in the
+    # with block kills it instead of waiting for it
+    def render(i):
+        if i == 1:
+            time.sleep(60)
+        return str(i)
+
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        with cli.Pool(2) as pool:
+            assert next(pool.imap(render, range(4), chunksize=1)) == "0"
+            raise KeyError("stop")
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_tracer_sites_resolve():
@@ -627,8 +702,8 @@ def test_cli_selftest_fails_a_suite_that_ran_no_checks(capsys):
 
 
 def test_cli_import_leaves_numpy_out():
-    # a command loads the pool's multiprocessing, the q-series engine and
-    # the sweeps only if it uses them
+    # a command loads the q-series engine and the sweeps only if it uses
+    # them; no command loads multiprocessing, the scan's pool forks with os
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = """if True:
         import contextlib, io, sys
@@ -647,13 +722,15 @@ def test_cli_import_leaves_numpy_out():
         loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "1")
         cli.os.cpu_count = lambda: 1
         loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "8")
+        cli.os.cpu_count = lambda: 2
+        loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "2")
         loaded("selftest", "--suite", "ratios", "--grid", "10")
     """
     out = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines() == ["None []", "0 []", "0 []", "0 []",
+    assert out.splitlines() == ["None []", "0 []", "0 []", "0 []", "0 []",
                                 "0 ['minrep.qseries', 'minrep.selftest']"]
 
 

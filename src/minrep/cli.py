@@ -10,10 +10,10 @@ is missing it runs serially.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 64 usage
 error (scan bounds and --grid above core.MAX_INDEX included), 65
-expression parse error, 141 broken pipe (stdout was closed before all
+expression parse error, 70 internal error (an unexpected exception; its
+traceback goes to stderr), 141 broken pipe (stdout was closed before all
 output was written: 128 + SIGPIPE, with no traceback and no worker left
-running).  The MINREP_TRUNCATION environment variable overrides the
-default truncation order 40 for qseries; from either source the order
+running).  The qseries truncation order is --order, 40 by default, and
 must lie in [1, qseries.MAX_ORDER = 10000].
 """
 
@@ -34,6 +34,7 @@ EXIT_SELFTEST = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 EXIT_EXPRESSION = 65
+EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
 
 
@@ -104,9 +105,16 @@ def main(argv=None):
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except (ExpressionError, InhomogeneousOperator) as exc:
+        print("expression error: %s" % exc, file=sys.stderr)
+        return EXIT_EXPRESSION
     except MinrepError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry():
@@ -192,10 +200,13 @@ class Pool:
 
     imap forks the workers once.  Each worker inherits the input iterator
     as it stands at the fork, cuts it into the same chunks as the parent
-    and renders chunk k only when k % processes is its index, writing
-    each result as a length-prefixed frame of UTF-8 text to its own pipe.
-    The parent reads chunk k from worker k % processes, so results come
-    back in input order and nothing is pickled.  A worker runs ahead of
+    and renders chunk k only when k % processes is its index.  Chunks are
+    the only unit: a worker writes each of its chunks as one
+    length-prefixed frame of UTF-8 text, the concatenation of func over
+    the chunk's items, to its own pipe; the parent reads chunk k from
+    worker k % processes and imap yields that frame's text, so results
+    come back in input order and nothing is pickled.  A worker, and the
+    parent, hold one chunk's text at a time, and a worker runs ahead of
     the reader only by what its pipe holds (_PIPE_BYTES where the kernel
     allows it), so memory stays bounded however long the input.
 
@@ -251,11 +262,10 @@ class Pool:
         return self._results(chunks)
 
     def _results(self, chunks):
-        for k, chunk in enumerate(chunks):
+        for k, _ in enumerate(chunks):
             pid, reader = self._workers[k % self._processes]
-            for _ in chunk:
-                size = int.from_bytes(_read(reader, _FRAME_BYTES, pid), "little")
-                yield _read(reader, size, pid).decode()
+            size = int.from_bytes(_read(reader, _FRAME_BYTES, pid), "little")
+            yield _read(reader, size, pid).decode()
 
     def _work(self, func, chunks, index, read_fd, write_fd):
         """Render this worker's chunks into write_fd, then end the process.
@@ -272,9 +282,8 @@ class Pool:
             pipe = open(write_fd, "wb")
             for k, chunk in enumerate(chunks):
                 if k % self._processes == index:
-                    for item in chunk:
-                        data = func(item).encode()
-                        pipe.write(len(data).to_bytes(_FRAME_BYTES, "little") + data)
+                    data = "".join(map(func, chunk)).encode()
+                    pipe.write(len(data).to_bytes(_FRAME_BYTES, "little") + data)
             pipe.flush()
             code = 0
         except BrokenPipeError:
@@ -296,8 +305,9 @@ def _read(reader, size, pid):
     return data
 
 
-#: cells per pool chunk, bytes of the length prefix of each result, and
-#: bytes each worker's pipe is asked to hold (Linux's unprivileged maximum)
+#: cells per pool chunk, bytes of the length prefix of each chunk's frame,
+#: and bytes each worker's pipe is asked to hold (Linux's unprivileged
+#: maximum)
 _CHUNK = 64
 _FRAME_BYTES = 4
 _PIPE_BYTES = 1 << 20
@@ -387,22 +397,12 @@ def parse_builtin_series(name, order):
 
 def cmd_qseries(args):
     from . import qseries
-    order = args.order
-    if order is None:
-        env = os.environ.get("MINREP_TRUNCATION")
-        try:
-            order = int(env) if env else qseries.DEFAULT_ORDER
-        except ValueError:
-            raise _UsageError("MINREP_TRUNCATION must be an integer, got %r" % env) from None
+    order = qseries.DEFAULT_ORDER if args.order is None else args.order
     if not 1 <= order <= qseries.MAX_ORDER:
         raise _UsageError("order must be in [1, %d], got %s" % (qseries.MAX_ORDER, order))
-    try:
-        target = parse_builtin_series(args.target, order)
-        operator = parse_operator(args.expr, order)
-        result = qseries.apply_operator(operator, [target.series], target.weight)[0]
-    except (ExpressionError, InhomogeneousOperator) as exc:
-        print("expression error: %s" % exc, file=sys.stderr)
-        return EXIT_EXPRESSION
+    target = parse_builtin_series(args.target, order)
+    operator = parse_operator(args.expr, order)
+    result = qseries.apply_operator(operator, [target.series], target.weight)[0]
     print(result.serialize())
     return EXIT_OK
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (BothEven, NoOddRepresentative, NotAnInteger, NotCoprime,
-                     OutOfRange)
+from .errors import NoOddRepresentative, NotAnInteger, NotCoprime, OutOfRange
 
 #: largest p or q: the congruence criteria factorize both by trial division,
 #: which stays within a fraction of a second up to here
@@ -61,14 +60,12 @@ def validate_model(p, q):
 
     The pair is swapped if needed so that the stored p is odd; this loses
     nothing since the central charge is symmetric.  Raises NotAnInteger,
-    OutOfRange, BothEven or NotCoprime on bad input.
+    OutOfRange or NotCoprime on bad input.
     """
     _check_int(p, q)
     if not (2 <= p <= MAX_INDEX and 2 <= q <= MAX_INDEX):
         raise OutOfRange("minimal model indices must satisfy 2 <= p, q <= MAX_INDEX = %s, "
                          "got (%s, %s)" % (MAX_INDEX, p, q))
-    if p % 2 == 0 and q % 2 == 0:
-        raise BothEven("(%s, %s) are both even" % (p, q))
     if gcd(p, q) != 1:
         raise NotCoprime("(%s, %s) have common factor %s" % (p, q, gcd(p, q)))
     if p % 2 == 0:

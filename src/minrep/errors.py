@@ -22,11 +22,6 @@ class NotCoprime(MinrepError):
     """The pair (p, q) has a common factor."""
 
 
-class BothEven(NotCoprime):
-    """Both members of (p, q) are even, the evenness special case of
-    NotCoprime (they always share the factor 2)."""
-
-
 class NoOddRepresentative(MinrepError):
     """Neither Kac representative has odd first index (impossible for odd p)."""
 

@@ -186,15 +186,18 @@ def test_cli_scan_repeat_runs_identical(capsys, monkeypatch):
         assert first.count("\n") > 50
         assert first == second
     # a real two-process pool over 2,556 cells, 40 chunks, against the
-    # serial scan, in both formats and through the filter
+    # serial scan, in both formats and through the filter; at grid 20 the
+    # dim=1 filter leaves most of the 111 chunks empty, and the last chunk
+    # is short
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    args = ["scan", "--p-max", "16", "--q-max", "16"]
-    for extra, lines in [([], 2556),
-                         (["--format", "csv", "--filter", "verdict=unknown"], 1 + 383)]:
-        assert cli.main(args + extra + ["--jobs", "1"]) == 0
+    grid16 = ["scan", "--p-max", "16", "--q-max", "16"]
+    for args, lines in [(grid16, 2556),
+                        (grid16 + ["--format", "csv", "--filter", "verdict=unknown"], 1 + 383),
+                        (["scan", "--p-max", "20", "--q-max", "20", "--filter", "dim=1"], 76)]:
+        assert cli.main(args + ["--jobs", "1"]) == 0
         first = capsys.readouterr().out
         assert first.count("\n") == lines
-        assert cli.main(args + extra + ["--jobs", "2"]) == 0
+        assert cli.main(args + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
 
 
@@ -301,14 +304,29 @@ def test_cli_pool_reads_its_input_lazily_and_reaps_its_workers(processes, capfd)
     # a worker runs ahead of the reader only by what its pipe holds: a pool
     # that read its input eagerly would never return on an endless iterator.
     # The workers, still writing, meet the closed pipes and end quietly.
+    # imap yields one string per chunk, the results of its items joined.
     start = time.monotonic()
     with cli.Pool(processes) as pool:
         results = pool.imap(str, itertools.count(), chunksize=64)
-        assert [next(results) for _ in range(1000)] == [str(i) for i in range(1000)]
+        assert "".join(next(results) for _ in range(16)) == "".join(map(str, range(1024)))
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr().err == ""
+
+
+def test_cli_pool_sends_a_frame_larger_than_its_pipe():
+    # a 64-item chunk of 50 kB results is a 3.2 MB frame against a pipe of
+    # at most _PIPE_BYTES; the last chunk holds two items
+    def render(i):
+        return "%d:" % i + "x" * 50_000
+
+    with cli.Pool(2) as pool:
+        pooled = "".join(pool.imap(render, range(130), chunksize=64))
+    assert pooled == "".join(map(render, range(130)))
+    assert len(pooled) > 3 * cli._PIPE_BYTES
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
@@ -328,7 +346,7 @@ def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
         analysis.analyze = failing
         cli.os.cpu_count = lambda: 2
         try:
-            cli.main(sys.argv[1:])
+            sys.exit(cli.main(sys.argv[1:]))
         finally:
             try:
                 os.waitpid(-1, os.WNOHANG)
@@ -339,7 +357,7 @@ def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
     failed = subprocess.run([sys.executable, "-c", script, *args],
                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                             text=True, timeout=60)
-    assert failed.returncode != 0
+    assert failed.returncode == cli.EXIT_INTERNAL
     assert "Traceback" in failed.stderr
     assert "in failing" in failed.stderr
     assert "ValueError: cell 11 7 1 2 fails" in failed.stderr
@@ -349,6 +367,21 @@ def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=60, check=True).stdout
     assert full.startswith(failed.stdout) and len(failed.stdout) < len(full)
+
+
+def test_cli_internal_error_exits_70_with_its_traceback(capsys, monkeypatch):
+    # an unexpected exception is an internal error, told apart from a
+    # failed check (1) by its exit code
+    def failing(p, q, m, n):
+        raise ValueError("cell %d %d %d %d fails" % (p, q, m, n))
+
+    monkeypatch.setattr(cli.analysis, "analyze", failing)
+    assert cli.main(["scan", "--p-max", "5", "--q-max", "4"]) == cli.EXIT_INTERNAL == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert "ValueError: cell 3 2 1 1 fails" in err
+    assert cli.main(["selftest", "--suite", "lemmas", "--grid", "4"]) == cli.EXIT_SELFTEST
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_broken_pipe_exits_141_without_traceback():
@@ -649,14 +682,6 @@ def test_cli_selftest_lists_the_first_ten_failures(capsys, monkeypatch):
                    + ["  failure %d" % i for i in range(10)])
 
 
-def test_cli_qseries_bad_env(capsys, monkeypatch):
-    monkeypatch.setenv("MINREP_TRUNCATION", "abc")
-    assert cli.main(["qseries", "--expr", "1", "--apply", "G4"]) == 64
-    for order in (10 ** 30, qseries.MAX_ORDER + 1):
-        monkeypatch.setenv("MINREP_TRUNCATION", str(order))
-        assert cli.main(["qseries", "--expr", "1", "--apply", "G4"]) == 64
-
-
 def test_cli_qseries_compound_expression(capsys):
     # G4*D applied to G4 equals G4 * (D_4 G4) = 14 G4 G6
     from minrep.qseries import eisenstein
@@ -667,12 +692,17 @@ def test_cli_qseries_compound_expression(capsys):
     assert out == expected.serialize()
 
 
-def test_cli_qseries_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MINREP_TRUNCATION", "5")
-    code = cli.main(["qseries", "--expr", "1", "--apply", "eta"])
-    out = capsys.readouterr().out.strip()
-    assert code == 0
-    assert out == "q^(1/24) * [1, -1, -1, 0, 0, 1]"
+def test_cli_qseries_ignores_the_environment(capsys, monkeypatch):
+    # --order is the one source of the truncation order
+    argv = ["qseries", "--expr", "1", "--apply", "eta"]
+    monkeypatch.delenv("MINREP_TRUNCATION", raising=False)
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert default == qseries.eta_power(1, qseries.DEFAULT_ORDER).series.serialize() + "\n"
+    for value in ("5", "abc"):
+        monkeypatch.setenv("MINREP_TRUNCATION", value)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == default
 
 
 def test_cli_selftest_qseries(capsys):

@@ -11,7 +11,7 @@ from minrep import (MinimalModel, ModuleLabel, canonical_label, central_charge,
                     list_modules, rep_dimension, rep_profile,
                     self_coupled_partners, validate_model)
 from minrep.core import models
-from minrep.errors import BothEven, MinrepError, NotAnInteger, NotCoprime, OutOfRange
+from minrep.errors import MinrepError, NotAnInteger, NotCoprime, OutOfRange
 
 
 def test_validate_model_keeps_convention():
@@ -25,7 +25,7 @@ def test_validate_model_rejections():
         validate_model(4, 6)
     with pytest.raises(NotCoprime):
         validate_model(9, 6)
-    with pytest.raises(BothEven):
+    with pytest.raises(NotCoprime, match="common factor 4"):
         validate_model(4, 8)
     with pytest.raises(OutOfRange):
         validate_model(1, 5)

@@ -24,8 +24,8 @@ from .spaces import space_comparison
 
 NOT_COMPUTED = "not-computed"
 
-#: models whose string tables are kept; a scan visits the models in order,
-#: so a few suffice, also for pool workers that take interleaved chunks
+#: models whose tables are kept; a scan visits the models in order, so a
+#: few suffice, also for pool workers that take interleaved chunks
 _MODEL_TABLES = 4
 
 #: flat column order for CSV output; list-valued fields are ";"-joined
@@ -47,18 +47,21 @@ def ratio_str(num, den):
     return "%d/%d" % (num // g, den // g)
 
 
-@lru_cache(maxsize=_MODEL_TABLES)
-def _model_strings(model):
-    """The strings of a record that depend on the model alone.
+@lru_cache(maxsize=_MODEL_TABLES, typed=True)
+def _model_table(p, q):
+    """What a record takes from the model alone, keyed by the raw (p, q).
 
-    Returns (c, h_shift, partners): the rendered central charge, the
-    integer h_shift = 2pq - 12(p - q)^2 with h_j = (y_j + h_shift) / 48pq,
-    and a dict from a partner (m_j, n_j) to its rendered (h_j, lambda_j).
-    analyze fills the dict with the partners it visits; the model's whole
-    box can hold billions of points, so it is never listed up front.
+    Returns (model, c, h_shift, partners): validate_model(p, q), the
+    rendered central charge, the integer h_shift = 2pq - 12(p - q)^2 with
+    h_j = (y_j + h_shift) / 48pq, and a dict from a partner (m_j, n_j) to
+    its rendered (h_j, lambda_j).  analyze fills the dict with the
+    partners it visits; the model's whole box can hold billions of
+    points, so it is never listed up front.  The key is typed, so that
+    5.0 never hits the entry of 5; a pair that fails validation raises
+    and is not kept.
     """
-    p, q = model.p, model.q
-    return frac_str(central_charge(model)), 2 * p * q - 12 * (p - q) ** 2, {}
+    model = validate_model(p, q)
+    return model, frac_str(central_charge(model)), 2 * p * q - 12 * (p - q) ** 2, {}
 
 
 def analyze(p, q, m, n):
@@ -67,9 +70,8 @@ def analyze(p, q, m, n):
     Raises the usual validation errors on bad input; an in-range label
     that is not acting yields a reduced record with acting = false.
     """
-    model = validate_model(p, q)
+    model, c, h_shift, partner_strings = _model_table(p, q)
     label = canonical_label(model, m, n)
-    c, h_shift, partner_strings = _model_strings(model)
     record = {
         "p": model.p,
         "q": model.q,
@@ -102,7 +104,7 @@ def analyze(p, q, m, n):
     record["s"] = profile.s
     record["partners"] = partners
     record["lambda"] = lam
-    record["r"] = [ratio_str(xj, big) for xj in profile.x]
+    record["r"] = ["%d/%d" % (xj // g, big // g) for xj in profile.x for g in [gcd(xj, big)]]
     record["level"] = verdict.details["level"]
     record["level_factorization"] = verdict.details["level_factorization"]
     record["irreducibility"] = cert
@@ -112,8 +114,7 @@ def analyze(p, q, m, n):
         record["k0"] = frac_str(mw.k0)
         record["alpha"] = [frac_str(a) for a in mw.alpha]
     else:
-        record["k0"] = None
-        record["alpha"] = None
+        record["k0"] = record["alpha"] = None
 
     record["verdict"] = {
         "status": verdict.status,

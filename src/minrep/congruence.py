@@ -35,9 +35,10 @@ by 2 but not 4, so nu_2(N) = 3), these give clean noncongruence
 statements when p and q are powers of primes exceeding 3.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import NotPrime, OutOfRange, OutOfScopeDimension
 from .fusion import rep_dimension
@@ -67,9 +68,12 @@ NO_CRITERION = "none"
 #: (p-2, q-3) is noncongruence whenever q does not divide this number
 DIM3_DIVISOR_BOUND = 2 ** 6 * 3 ** 3 * 5 ** 2 * 7 ** 2
 
+#: levels, and their Nobs-Wolfart products, kept; a grid-16 scan meets 96
+#: distinct levels over its 1,372 acting labels
+_LEVELS = 1024
 
-@dataclass(frozen=True)
-class Level:
+
+class Level(NamedTuple):
     """Order N of rho(T) with its prime factorization."""
 
     N: int
@@ -163,9 +167,14 @@ def level(profile):
     """Level of rho_{m,n}: the lcm of the reduced denominators of the r_j.
 
     Since rho(T) is diagonal this equals the order of rho(T) in the image
-    group.  It divides 48 p q and is computed by fast_level.
+    group.  It divides 48 p q and is computed by fast_level; each N is
+    factorized once.
     """
-    n = fast_level(profile.model.p, profile.model.q, profile.label.m, profile.label.n)
+    return _level(fast_level(*profile.model, *profile.label))
+
+
+@lru_cache(maxsize=_LEVELS)
+def _level(n):
     return Level(n, factorize(n))
 
 
@@ -198,16 +207,14 @@ def nw_min_dim(r, t):
     return (r * r - 1) * r ** (t - 2) // 2
 
 
+@lru_cache(maxsize=_LEVELS)
 def min_congruence_dim(lv):
     """Product of the Nobs-Wolfart minima over the prime powers of N.
 
     Lower-bounds the dimension of a congruence representation whose T-image
     has order N, for the Level lv of N; returns 1 for N = 1.
     """
-    out = 1
-    for r, t in lv.factorization:
-        out *= nw_min_dim(r, t)
-    return out
+    return prod(nw_min_dim(r, t) for r, t in lv.factorization)
 
 
 @lru_cache(maxsize=8)
@@ -227,12 +234,11 @@ def _ceil_power(r, a):
     return 1 if a <= 2 else r ** (a - 2)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     """Outcome of an arithmetic noncongruence predicate with its trace."""
 
     holds: bool
-    trace: dict = field(default_factory=dict)
+    trace: dict = MappingProxyType({})   # read-only; the criteria pass their own
 
     def __bool__(self):
         return self.holds
@@ -300,16 +306,15 @@ def distinct_primes_criterion(model, label):
         return CriterionResult(False, {"reason": "p and q are not both primes > 3"})
     if (m, n) in {(1, 1), (1, q - 2), (p - 2, 1), (p - 2, q - 2)}:
         return CriterionResult(False, {"reason": "(m, n) is an exceptional pair"})
-    return CriterionResult(True)
+    return CriterionResult(True, {})
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
+class CongruenceVerdict(NamedTuple):
     """Congruence status with the criterion that decided it."""
 
     status: str
     criterion: str
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def classify_low_dim(model, label):

@@ -19,12 +19,14 @@ defined for them.  Canonical labels with even n (these occur, e.g. (1, 2)
 for (p, q) = (3, 4)) are genuine modules but carry no such action.
 
 Everything here is an immutable value and every function is pure; all
-arithmetic is exact over fractions.Fraction.
+arithmetic is exact over fractions.Fraction.  The records of the package
+are named tuples: cheap to build, ordered field by field, and equal to
+any tuple with the same fields.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NoOddRepresentative, NotAnInteger, NotCoprime, OutOfRange
 
@@ -33,16 +35,14 @@ from .errors import NoOddRepresentative, NotAnInteger, NotCoprime, OutOfRange
 MAX_INDEX = 10 ** 6
 
 
-@dataclass(frozen=True, order=True)
-class MinimalModel:
+class MinimalModel(NamedTuple):
     """A validated coprime pair (p, q) with p odd, p >= 3, q >= 2."""
 
     p: int
     q: int
 
 
-@dataclass(frozen=True, order=True)
-class ModuleLabel:
+class ModuleLabel(NamedTuple):
     """Canonical Kac label: the representative with odd m."""
 
     m: int

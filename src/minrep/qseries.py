@@ -36,7 +36,6 @@ kept weight homogeneous: phi_i must have weight w - 2i for a fixed w so
 the operator raises any input weight by w.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -219,17 +218,34 @@ def bernoulli(k):
     return _bernoulli_list(k)[k]
 
 
-@dataclass(frozen=True)
 class ModularForm:
     """A q-expansion with a declared weight.
 
     Multiplication adds weights; addition requires equal weights.  The
     implicit multiplier sends T to e(weight/12), the system of eta^{2k};
-    it is metadata and never enters arithmetic.
+    it is metadata and never enters arithmetic.  Not a tuple, so that
+    3 * form is a TypeError rather than a repetition.
     """
 
-    weight: Fraction
-    series: QSeries
+    __slots__ = ("weight", "series")
+
+    def __init__(self, weight, series):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "series", series)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModularForm is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ModularForm:
+            return NotImplemented
+        return self.weight == other.weight and self.series == other.series
+
+    def __hash__(self):
+        return hash((self.weight, self.series))
+
+    def __repr__(self):
+        return "ModularForm(weight=%r, series=%r)" % (self.weight, self.series)
 
     def __add__(self, other):
         if not isinstance(other, ModularForm):

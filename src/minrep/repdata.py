@@ -35,10 +35,9 @@ character of SL2(Z), and all such characters take twelfth roots of unity
 on T.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import floor
+from typing import NamedTuple
 
 from .core import central_charge, conformal_weight
 from .errors import NotPrimeCase, OutOfScopeDimension, SubsetBlowup
@@ -51,15 +50,14 @@ INCONCLUSIVE = "inconclusive"
 SUBSET_CAP = 20
 
 
-@dataclass(frozen=True)
-class RepProfile:
+class RepProfile(NamedTuple):
     """Full exponent data of rho_{m,n}, as integer numerators over big.
 
     big = 48 p q; lam[j] = y[j] / big is the leading exponent of the j-th
     1-point function and r[j] = x[j] / big the exponent of the j-th
     diagonal entry of rho(T); both follow the lexicographic partner order.
     r[j] - lam[j] = -h/12 for every j.  The Fraction views lam, r, h and c
-    are computed on first access.
+    are computed on each access, not cached.
     """
 
     model: object
@@ -70,19 +68,19 @@ class RepProfile:
     y: tuple
     x: tuple
 
-    @cached_property
+    @property
     def lam(self):
         return tuple(Fraction(v, self.big) for v in self.y)
 
-    @cached_property
+    @property
     def r(self):
         return tuple(Fraction(v, self.big) for v in self.x)
 
-    @cached_property
+    @property
     def h(self):
         return conformal_weight(self.model, self.label.m, self.label.n)
 
-    @cached_property
+    @property
     def c(self):
         return central_charge(self.model)
 
@@ -181,8 +179,7 @@ def irreducibility_certificate(profile):
     return INCONCLUSIVE if hit else IRREDUCIBLE
 
 
-@dataclass(frozen=True)
-class MinimalWeightProfile:
+class MinimalWeightProfile(NamedTuple):
     """Reduced exponents alpha_j in [0, 1) and the minimal weight k0.
 
     alpha_j is the fractional part of lambda_j (equivalently the class of

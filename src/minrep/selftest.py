@@ -5,8 +5,8 @@ list of failure descriptions (empty when everything holds).  The sweeps are
 exact; there are no tolerances anywhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import qseries
 from .congruence import factorize, fast_level, nu
@@ -21,8 +21,7 @@ D4_G4_OVER_G6 = Fraction(14)
 D6_G6_OVER_G4SQ = Fraction(60, 7)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     checked: int
     failures: list

@@ -32,8 +32,8 @@ point is involved.  The fifth shape (p-6, q-1) admits no window at all
 lambda_3 < 1 forces q/p < 2/3.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotAnInteger, NotLowDimCase
 # irreducibility_certificate stays bound here so that call-site wrappers of
@@ -135,8 +135,7 @@ def _window_flag(y, big):
     return FLAG_GE_ONE
 
 
-@dataclass(frozen=True)
-class SpaceComparison:
+class SpaceComparison(NamedTuple):
     """Verdict on V(rho) versus H(rho) plus the per-component window facts."""
 
     status: str

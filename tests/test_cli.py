@@ -46,6 +46,25 @@ def test_analyze_noncongruence_record():
     assert record["k0"] is None
 
 
+def test_analyze_model_table_checks_each_raw_pair():
+    # the per-model table is keyed by the raw (p, q) with their types, so
+    # a float never hits the entry of its int, and a failed validation is
+    # not kept
+    assert analysis._model_table.cache_parameters() == {
+        "maxsize": analysis._MODEL_TABLES, "typed": True}
+    record = analysis.analyze(5, 7, 1, 3)
+    for p, q in [(5.0, 7), (5, 7.0), (True, 7)]:
+        with pytest.raises(errors.NotAnInteger):
+            analysis.analyze(p, q, 1, 3)
+    for _ in range(2):
+        with pytest.raises(errors.NotCoprime):
+            analysis.analyze(5, 10, 1, 3)
+    assert analysis.analyze(5, 7, 1, 3) == record
+    # both orders of a pair give one record, whichever entry was filled first
+    assert analysis.analyze(4, 5, 1, 1) == analysis.analyze(5, 4, 1, 1)
+    assert analysis.analyze(7, 2, 1, 1) == analysis.analyze(2, 7, 1, 1)
+
+
 def test_analyze_non_acting_label():
     record = analysis.analyze(3, 4, 1, 2)
     assert record["acting"] is False
@@ -199,6 +218,22 @@ def test_cli_scan_repeat_runs_identical(capsys, monkeypatch):
         assert first.count("\n") == lines
         assert cli.main(args + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
+
+
+def test_cli_scan_matches_the_pinned_digests(capsys, monkeypatch):
+    # the grid-16 scan in both formats, serially and through the two-process
+    # pool, byte for byte against the digests the benchmark pins
+    import hashlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "expected.json")) as src:
+        pinned = json.load(src)["atlas_digests"]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for fmt in ("jsonl", "csv"):
+        for jobs in ("1", "2"):
+            assert cli.main(["scan", "--p-max", "16", "--q-max", "16",
+                             "--format", fmt, "--jobs", jobs]) == 0
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            assert digest == pinned[fmt]["16,16"], (fmt, jobs)
 
 
 def test_cli_scan_writes_each_record_before_the_next_cell(capsys, monkeypatch):
@@ -733,10 +768,13 @@ def test_cli_selftest_fails_a_suite_that_ran_no_checks(capsys):
 
 def test_cli_import_leaves_numpy_out():
     # a command loads the q-series engine and the sweeps only if it uses
-    # them; no command loads multiprocessing, the scan's pool forks with os
+    # them; no command loads multiprocessing, the scan's pool forks with os;
+    # and none loads dataclasses or inspect unless the interpreter's own
+    # start-up already did
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = """if True:
         import contextlib, io, sys
+        bare = set(sys.modules)
         from minrep import cli
 
         def loaded(*argv):
@@ -744,8 +782,9 @@ def test_cli_import_leaves_numpy_out():
             if argv:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(list(argv))
-            heavy = ("numpy", "multiprocessing", "minrep.qseries", "minrep.selftest")
-            print(code, [name for name in heavy if name in sys.modules])
+            heavy = ("numpy", "multiprocessing", "minrep.qseries", "minrep.selftest",
+                     "dataclasses", "inspect")
+            print(code, [name for name in heavy if name in sys.modules and name not in bare])
 
         loaded()
         loaded("analyze", "--p", "5", "--q", "7", "--m", "1", "--n", "3")
@@ -762,6 +801,9 @@ def test_cli_import_leaves_numpy_out():
     ).stdout
     assert out.splitlines() == ["None []", "0 []", "0 []", "0 []", "0 []",
                                 "0 ['minrep.qseries', 'minrep.selftest']"]
+    for path in glob.glob(os.path.join(src, "minrep", "*.py")):
+        with open(path) as module:
+            assert "@dataclass" not in module.read(), path
 
 
 def test_package_loads_the_qseries_names_on_first_use():

@@ -145,6 +145,18 @@ def test_nw_min_dim_table():
         nw_min_dim(5, 0)
 
 
+def test_level_caches_are_bounded_and_agree_with_factorize():
+    # level factorizes each N once and min_congruence_dim keeps each
+    # Level's product; both caches hold a bounded number of entries, so
+    # memory stays bounded whatever the grid
+    from minrep.congruence import _level
+    for cache in (_level, min_congruence_dim):
+        assert isinstance(cache.cache_info().maxsize, int)
+    first = level(_profile(5, 7, 1, 3))
+    assert first == Level(840, factorize(840)) and level(_profile(5, 7, 1, 3)) is first
+    assert min_congruence_dim(first) == min_congruence_dim(Level(840, factorize(840))) == 12
+
+
 def test_min_congruence_dim_products():
     assert min_congruence_dim(Level(60, factorize(60))) == 2
     assert min_congruence_dim(Level(84, factorize(84))) == 3

@@ -20,6 +20,55 @@ def test_validate_model_keeps_convention():
     assert validate_model(2, 5) == MinimalModel(5, 2)
 
 
+def test_records_are_immutable_ordered_tuples():
+    # every record type of the package: a field cannot be assigned and no
+    # attribute can be added
+    from minrep import (minimal_weight_profile, qseries, selftest,
+                        space_comparison)
+    from minrep.congruence import CriterionResult, distinct_primes_criterion, level
+    model, label = validate_model(5, 7), ModuleLabel(1, 3)
+    profile = rep_profile(model, label)
+    small = rep_profile(validate_model(3, 4), ModuleLabel(1, 3))
+    records = [model, label, profile, level(profile),
+               distinct_primes_criterion(model, label), congruence_verdict(model, label),
+               minimal_weight_profile(small), space_comparison(profile),
+               selftest.SuiteResult("ratios", 1, []), qseries.eisenstein(4, 4)]
+    assert len({type(record) for record in records}) == 10
+    for record in records:
+        name = record._fields[0] if isinstance(record, tuple) else "weight"
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    # a form is not a tuple: a scalar on the left is not a repetition
+    with pytest.raises(TypeError):
+        3 * records[-1]
+    assert records[-1] * 3 == qseries.ModularForm(4, records[-1].series * 3)
+
+    # models and labels sort as (p, q) and (m, n) pairs, and, as tuples,
+    # equal any tuple with the same fields
+    pairs = {validate_model(7, 2), validate_model(4, 5), validate_model(3, 4),
+             validate_model(2, 5), validate_model(5, 4)}
+    assert sorted(pairs) == [MinimalModel(3, 4), MinimalModel(5, 2), MinimalModel(5, 4),
+                             MinimalModel(7, 2)]
+    assert sorted({ModuleLabel(3, 1), ModuleLabel(1, 5), ModuleLabel(1, 3)}) == [
+        (1, 3), (1, 5), (3, 1)]
+    assert MinimalModel(3, 4) == ModuleLabel(3, 4) == (3, 4)
+
+    # a criterion result is true when it holds; each firing result has its
+    # own trace, and the default trace cannot be written
+    for m, n in [(1, 3), (1, 1), (3, 5)]:
+        result = distinct_primes_criterion(model, ModuleLabel(m, n))
+        assert bool(result) is result.holds
+    first = distinct_primes_criterion(model, ModuleLabel(1, 3))
+    second = distinct_primes_criterion(model, ModuleLabel(1, 3))
+    assert first.holds and second.holds and first.trace is not second.trace
+    first.trace["seen"] = True
+    assert second.trace == {} and CriterionResult(True).trace == {}
+    with pytest.raises(TypeError):
+        CriterionResult(True).trace["seen"] = True
+
+
 def test_validate_model_rejections():
     with pytest.raises(NotCoprime):
         validate_model(4, 6)

@@ -1,7 +1,6 @@
 """Exponent profiles, closed forms, minimal weight data, irreducibility."""
 
 import copy
-import dataclasses
 import json
 import os
 import subprocess
@@ -131,7 +130,7 @@ def test_minimal_weight_identity_detects_a_wrong_exponent():
     for p, q, m, n in [(5, 2, 3, 1), (5, 7, 3, 5), (3, 4, 1, 1), (9, 8, 3, 5)]:
         profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
         assert minimal_weight_identity(profile)
-        bumped = dataclasses.replace(profile, y=(profile.y[0] + 1,) + profile.y[1:])
+        bumped = profile._replace(y=(profile.y[0] + 1,) + profile.y[1:])
         assert not minimal_weight_identity(bumped), (p, q, m, n)
 
 
@@ -253,7 +252,7 @@ def test_profile_and_certificate_match_kac_oracle():
     # a table hit, then an eviction by one model more than the table
     # keeps: each rebuilt record equals the first, which a caller may
     # change without touching later records
-    tables = analysis._model_strings
+    tables = analysis._model_table
     first = analysis.analyze(5, 7, 1, 3)
     kept = copy.deepcopy(first)
     first["partners"][0]["h"] = first["lambda"][0] = "changed"

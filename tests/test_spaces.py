@@ -1,6 +1,5 @@
 """Lambda windows, exact surd comparisons and ratio/exponent consistency."""
 
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -174,7 +173,7 @@ def test_suite_ratios_fails_on_a_d3ii_profile_inside_the_unit_interval(monkeypat
     def all_inside(model, label):
         profile = real(model, label)
         if low_dim_case(model, label) == DIM3_II:
-            return replace(profile, y=(0,) * profile.s)
+            return profile._replace(y=(0,) * profile.s)
         return profile
 
     monkeypatch.setattr(spaces, "rep_profile", all_inside)

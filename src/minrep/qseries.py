@@ -1,18 +1,30 @@
 """Exact truncated q-expansions, Eisenstein series, eta powers and the ring
 of modular differential operators.
 
-A QSeries stores a rational leading exponent e and exact rational
-coefficients c_0..c_T, representing
+A QSeries stores a rational leading exponent e, integer numerators
+a_0..a_T and one positive integer denominator d, representing
 
-    q^e (c_0 + c_1 q + ... + c_T q^T),
+    q^e (a_0 + a_1 q + ... + a_T q^T) / d,
 
-with c_0 != 0 unless the series is zero through its window.  Addition
-requires the two exponents to differ by an integer (the series live on a
-common fractional lattice), except that a zero series on another lattice
-is absorbed exactly; a sum is known only as far as both summands are.
-A product is known through the shorter window and is computed as one
-integer convolution of the two windows' numerators over their lcm
-denominators.
+in a canonical form: gcd(d, a_0, ..., a_T) = 1, and a_0 != 0 unless the
+series is zero through its window (leading zeros move into e).  Equal
+series therefore have equal (e, d, numerators), and every zero series
+equals every other.  Addition requires the two exponents to differ by an
+integer (the series live on a common fractional lattice), except that a
+zero series on another lattice is absorbed exactly; a sum is known only
+as far as both summands are.  A product is known through the shorter
+window.
+
+Arithmetic runs on the integers: a sum scales both numerator lists to
+the lcm of the denominators, a scalar scales the numerators and the
+denominator, q d/dq multiplies a_j by (e + j) over the denominator of e,
+and a product is one integer convolution over the product of the
+denominators, each followed by one gcd reduction.  The convolution is a
+Kronecker substitution: each operand is packed into one big integer with
+slots wide enough for the largest product coefficient, the two integers
+are multiplied once, and the low slots are read back.  Fractions appear
+only at the edges: the public constructor, the coeffs view, coefficient,
+serialize and the rational exponent.
 
 The graded ring M = C[G4, G6] of level-one modular forms is generated by
 the Eisenstein series, normalised as
@@ -39,9 +51,10 @@ the operator raises any input weight by w.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial, floor, lcm
+from math import comb, factorial, floor, gcd, lcm
+from operator import add
 
-from .errors import (ExponentMismatch, InhomogeneousOperator, OddWeight,
+from .errors import (ExponentMismatch, InhomogeneousOperator, NotAnInteger, OddWeight,
                      OutOfRange, WeightMismatch)
 
 #: default truncation order for q-expansions
@@ -51,47 +64,72 @@ MAX_ORDER = 10_000
 #: largest G4, G6 or D exponent and eta power the qseries command accepts
 MAX_POWER = 100
 
+#: the exact scalar types: coefficients, offsets and scalar factors
+_EXACT = (int, Fraction)
+
 
 class QSeries:
-    """Truncated q-expansion with exact rational coefficients and a
-    rational leading exponent."""
+    """Truncated q-expansion q^offset * (nums[0] + nums[1] q + ...) / den,
+    with integer numerators over one positive denominator, in lowest
+    terms, and a rational leading exponent."""
 
-    __slots__ = ("offset", "coeffs")
+    __slots__ = ("offset", "nums", "den")
 
     def __init__(self, offset, coeffs):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a QSeries needs at least one coefficient")
-        offset = Fraction(offset)
-        lead = next((i for i, c in enumerate(coeffs) if c), None)
-        if lead:
-            offset += lead
-            coeffs = coeffs[lead:]
+        for value in (offset,) + coeffs:
+            if type(value) not in _EXACT:
+                raise NotAnInteger("q-series offsets and coefficients must be int or "
+                                   "Fraction, got %r of type %s" % (value, type(value).__name__))
+        den = lcm(*(c.denominator for c in coeffs))
+        self._normalise(Fraction(offset),
+                        [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _normalise(self, offset, nums, den):
+        """Store nums / den (den > 0) in canonical form."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        if not nums[0]:
+            lead = next((i for i, x in enumerate(nums) if x), None)
+            if lead:
+                offset += lead
+                nums = nums[lead:]
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
     @property
+    def coeffs(self):
+        """The coefficients as Fractions, from q^offset up."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    @property
     def order(self):
         """Relative truncation order T: coefficients cover q^offset..q^(offset+T)."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.nums[0]
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.is_zero() and other.is_zero():
             return True
-        return self.offset == other.offset and self.coeffs == other.coeffs
+        return (self.offset, self.den, self.nums) == (other.offset, other.den, other.nums)
 
     def __hash__(self):
         if self.is_zero():
             return hash("qseries-zero")
-        return hash((self.offset, self.coeffs))
+        return hash((self.offset, self.den, self.nums))
 
     def __repr__(self):
         return "QSeries(%s)" % self.serialize()
@@ -110,16 +148,17 @@ class QSeries:
             return Fraction(0)
         if rel > self.order:
             raise OutOfRange("coefficient of q^%s lies beyond the truncation" % exponent)
-        return self.coeffs[rel]
+        return Fraction(self.nums[rel], self.den)
 
     def __neg__(self):
-        return QSeries(self.offset, tuple(-c for c in self.coeffs))
+        return _series(self.offset, [-x for x in self.nums], self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT:
             # a scalar is exact: its window reaches as far as self's
             top = max(0, floor(self.offset) + self.order)
-            other = QSeries(0, (other,) + (Fraction(0),) * top)
+            num, den = other.as_integer_ratio()
+            other = _series(Fraction(0), [num] + [0] * top, den)
         if not isinstance(other, QSeries):
             return NotImplemented
         shift = other.offset - self.offset
@@ -135,63 +174,99 @@ class QSeries:
                 "cannot add series with exponents %s and %s on different lattices"
                 % (self.offset, other.offset)
             )
-        shift = int(shift)
-        # both series vanish below their windows, so the sum is known on
-        # [lo, hi]
-        lo = min(0, shift)
-        hi = min(self.order, shift + other.order)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for j in range(max(0, lo), min(self.order, hi) + 1):
-            out[j - lo] += self.coeffs[j]
-        for j in range(max(shift, lo), min(shift + other.order, hi) + 1):
-            out[j - lo] += other.coeffs[j - shift]
-        return QSeries(self.offset + lo, out)
+        a, b, shift = (self, other, int(shift)) if shift >= 0 else (other, self, -int(shift))
+        # both series vanish below their windows, so the sum is known from
+        # a's offset through relative order top
+        top = min(a.order, shift + b.order)
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        out = [x * sa for x in a.nums[: top + 1]]
+        ys = [y * sb for y in b.nums[: max(0, top + 1 - shift)]]
+        out[shift:] = map(add, out[shift:], ys)
+        return _series(a.offset, out, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSeries(self.offset, tuple(c * other for c in self.coeffs))
+        if type(other) in _EXACT:
+            num, den = other.as_integer_ratio()
+            return _series(self.offset, [x * num for x in self.nums], self.den * den)
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        xs, da = _scaled(self.coeffs[: n + 1])
-        ys, db = _scaled(other.coeffs[: n + 1])
-        out = [0] * (n + 1)
-        for i, x in enumerate(xs):
-            if not x:
-                continue
-            for j, y in enumerate(ys[: n + 1 - i]):
-                if y:
-                    out[i + j] += x * y
-        den = da * db
-        return QSeries(self.offset + other.offset, (Fraction(c, den) for c in out))
+        return _series(self.offset + other.offset, _convolve(self.nums, other.nums),
+                       self.den * other.den)
 
     def q_derivative(self):
         """q d/dq: multiplies the q^(offset+j) coefficient by offset + j."""
-        return QSeries(
-            self.offset, tuple((self.offset + j) * c for j, c in enumerate(self.coeffs))
-        )
+        a, b = self.offset.numerator, self.offset.denominator
+        steps = range(a, a + b * len(self.nums), b)
+        return _series(self.offset, [x * e for x, e in zip(self.nums, steps)], self.den * b)
 
     def serialize(self):
         """Render as "q^(a/b) * [c0, c1, ...]" with exact fractions."""
         off = Fraction(0) if self.is_zero() else self.offset
-        body = ", ".join(str(c) for c in self.coeffs)
+        body = ", ".join(map(str, self.coeffs))
         return "q^(%s/%s) * [%s]" % (off.numerator, off.denominator, body)
 
 
-def _scaled(coeffs):
-    """(numerators, den): the coefficients as integers over their lcm den."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _series(offset, nums, den):
+    """The QSeries q^offset * nums / den for integer nums and den > 0: the
+    one private constructor, which skips the public type checks."""
+    series = object.__new__(QSeries)
+    series._normalise(offset, nums, den)
+    return series
+
+
+def _convolve(xs, ys):
+    """The first n = min(len(xs), len(ys)) coefficients of the product of
+    the integer polynomials xs and ys, by Kronecker substitution.
+
+    Every product coefficient is a sum of at most n terms x_i y_j, so its
+    absolute value is at most bound = n * max|x| * max|y|.  With W a whole
+    number of bytes and 2^(W-1) > bound, each operand is evaluated at 2^W
+    and the two integers are multiplied once.  Adding the bias 2^(W-1) to
+    each of the low n slots of the product makes every slot a W-bit digit
+    with no borrow between slots; coefficient k is digit k minus the bias.
+    """
+    n = min(len(xs), len(ys))
+    same = xs is ys
+    xs = xs[:n]
+    ys = xs if same else ys[:n]
+    mx = max(map(abs, xs))
+    bound = n * mx * (mx if same else max(map(abs, ys)))
+    if not bound:
+        return [0] * n
+    wb = bound.bit_length() // 8 + 1
+    width = 8 * wb
+    # one bit at the bottom of each of the n slots
+    ones = int.from_bytes((b"\1" + bytes(wb - 1)) * n, "little")
+    px = _pack(xs, wb, ones)
+    product = px * px if same else px * _pack(ys, wb, ones)
+    product = (product + (ones << (width - 1))) & ((1 << (width * n)) - 1)
+    data = product.to_bytes(wb * n, "little")
+    half = 1 << (width - 1)
+    return [int.from_bytes(data[k:k + wb], "little") - half for k in range(0, wb * n, wb)]
+
+
+def _pack(xs, wb, ones):
+    """sum x_i 2^(8 wb i) for integers |x_i| < 2^(8 wb - 1).
+
+    Each x_i is written as wb two's-complement bytes, which stand for
+    x_i + 2^(8 wb) when x_i < 0, that is when the slot's top bit is set;
+    the packed integer subtracts that 2^(8 wb) again, one slot up.
+    """
+    width = 8 * wb
+    packed = int.from_bytes(
+        b"".join([x.to_bytes(wb, "little", signed=True) for x in xs]), "little")
+    return packed - (((packed >> (width - 1)) & ones) << width)
 
 
 def _pow_series(series, w):
     """series**w for integer w >= 0, preserving the truncation order."""
     if w < 0:
         raise OutOfRange("series power needs w >= 0, got %s" % w)
-    out = QSeries(0, (Fraction(1),) + (Fraction(0),) * series.order)
+    out = _series(Fraction(0), [1] + [0] * series.order, 1)
     base = series
     while w:
         if w & 1:
@@ -272,28 +347,29 @@ class ModularForm:
 
 
 @lru_cache(maxsize=None)
-def _eisenstein_coeffs(k, order):
+def _eisenstein_series(k, order):
+    """The QSeries of G_k through q^order, for even k >= 2."""
     sigma = [0] * (order + 1)
     for d in range(1, order + 1):
         dk = d ** (k - 1)
         for n in range(d, order + 1, d):
             sigma[n] += dk
-    lead = Fraction(-_bernoulli_list(k)[k], factorial(k))
-    scale = Fraction(2, factorial(k - 1))
-    return (lead,) + tuple(scale * s for s in sigma[1:])
+    # with B_k = b/c, G_k = (-b + 2kc sum sigma_{k-1}(n) q^n) / (c k!)
+    b, c = _bernoulli_list(k)[k].as_integer_ratio()
+    return _series(Fraction(0), [-b] + [2 * k * c * s for s in sigma[1:]], c * factorial(k))
 
 
 def eisenstein(k, order=DEFAULT_ORDER):
     """Eisenstein series G_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n."""
     if k % 2 != 0 or k < 2:
         raise OddWeight("Eisenstein series need even weight >= 2, got %s" % k)
-    return ModularForm(Fraction(k), QSeries(0, _eisenstein_coeffs(k, order)))
+    return ModularForm(Fraction(k), _eisenstein_series(k, order))
 
 
 @lru_cache(maxsize=None)
 def _euler_coeffs(order):
-    """prod (1 - q^n) by the pentagonal number theorem."""
-    out = [Fraction(0)] * (order + 1)
+    """prod (1 - q^n) by the pentagonal number theorem, as integers."""
+    out = [0] * (order + 1)
     k = 0
     while True:
         hit = False
@@ -312,15 +388,13 @@ def eta_power(w, order=DEFAULT_ORDER):
     """eta^w = q^(w/24) prod (1 - q^n)^w as a form of weight w/2."""
     if w < 1:
         raise OutOfRange("eta power needs w >= 1, got %s" % w)
-    base = QSeries(0, _euler_coeffs(order))
-    powered = _pow_series(base, w)
-    return ModularForm(Fraction(w, 2), QSeries(Fraction(w, 24), powered.coeffs))
+    powered = _pow_series(_series(Fraction(0), _euler_coeffs(order), 1), w)
+    return ModularForm(Fraction(w, 2), _series(Fraction(w, 24), powered.nums, powered.den))
 
 
 def modular_derivative(k, f):
     """D_k f = q df/dq + k G2 f for a QSeries f, exact to f's order."""
-    g2 = QSeries(0, _eisenstein_coeffs(2, f.order))
-    return f.q_derivative() + (g2 * f) * Fraction(k)
+    return f.q_derivative() + (_eisenstein_series(2, f.order) * f) * Fraction(k)
 
 
 class ModularOperator:
@@ -417,6 +491,6 @@ def apply_operator(op, components, weight):
             term = phi.series * df
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = QSeries(f.offset, (Fraction(0),) * (f.order + 1))
+            acc = _series(f.offset, [0] * (f.order + 1), 1)
         out.append(acc)
     return out

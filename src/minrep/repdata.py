@@ -135,9 +135,13 @@ def minimal_weight_identity(profile):
     It holds for every s (the Wronskian weight count in the module
     docstring), so False flags a bug in the exponents.
     """
-    s, big, h = profile.s, profile.big, profile.h
-    # the identity times s * big * den(h), with lambda_j = y_j / big
-    return h.numerator * s * big == (12 * sum(profile.y) + (1 - s) * s * big) * h.denominator
+    p, q = profile.model.p, profile.model.q
+    m, n = profile.label.m, profile.label.n
+    s, big = profile.s, profile.big
+    # the identity times s * big * 4pq, with h = h_num / (4pq) and
+    # lambda_j = y_j / big
+    h_num = (n * p - m * q) ** 2 - (p - q) ** 2
+    return h_num * s * big == (12 * sum(profile.y) + (1 - s) * s * big) * 4 * p * q
 
 
 def irreducibility_certificate(profile):

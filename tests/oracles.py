@@ -180,6 +180,13 @@ def series_ratio(numer, denom):
     return ratio
 
 
+def integer_product(xs, ys):
+    """The first min(len(xs), len(ys)) coefficients of the product of the
+    integer polynomials xs and ys, by the schoolbook double loop."""
+    n = min(len(xs), len(ys))
+    return [sum(xs[i] * ys[k - i] for i in range(k + 1)) for k in range(n)]
+
+
 def series_product(off_a, coeffs_a, off_b, coeffs_b):
     """(offset, coefficients) of the truncated product of two q-series.
 

@@ -236,6 +236,20 @@ def test_cli_scan_matches_the_pinned_digests(capsys, monkeypatch):
             assert digest == pinned[fmt]["16,16"], (fmt, jobs)
 
 
+def test_cli_qseries_matches_the_pinned_digests(capsys):
+    # the benchmark's q-series expression on eta^w at order T, byte for
+    # byte against the digests it pins; (24, 500) is its --full input
+    import hashlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "expected.json")) as src:
+        pinned = json.load(src)["qseries_digests"]
+    for w, order in [(24, 200), (20, 200), (24, 500)]:
+        assert cli.main(["qseries", "--expr", "G6*D^2 + G4^2*D + 3/2*G4*G6",
+                         "--apply", "eta^%d" % w, "--order", str(order)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == pinned["%d,%d" % (w, order)], (w, order)
+
+
 def test_cli_scan_writes_each_record_before_the_next_cell(capsys, monkeypatch):
     # when analyze is called for cell k + 1, stdout holds the records of
     # the first k cells: a scan holds no list of records

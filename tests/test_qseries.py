@@ -1,6 +1,8 @@
 """Exact q-expansions, Eisenstein series, eta powers, the operator ring."""
 
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from minrep import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
                     apply_operator, bernoulli, eisenstein, eta_power,
                     modular_derivative, qseries, selftest)
-from minrep.errors import (ExponentMismatch, InhomogeneousOperator, OddWeight,
-                           OutOfRange, WeightMismatch)
+from minrep.errors import (ExponentMismatch, InhomogeneousOperator, NotAnInteger,
+                           OddWeight, OutOfRange, WeightMismatch)
 
-from oracles import series_product
+from oracles import integer_product, series_product
 
 F = Fraction
 
@@ -335,6 +337,71 @@ def test_leading_coefficient_normalised(s):
     assert s.is_zero() or s.coeffs[0] != 0
 
 
+# integers up to 2^256 in size, zeros among them, and all-zero lists
+_big_ints = st.one_of(st.just(0), st.integers(-2 ** 256, 2 ** 256),
+                      st.integers(-300, 300))
+_int_window = st.one_of(st.lists(_big_ints, min_size=1, max_size=64),
+                        st.lists(st.just(0), min_size=1, max_size=64))
+
+
+@given(_int_window, _int_window)
+@example([-2 ** 256] * 64, [2 ** 256] * 64)
+@example([-128, 127, -1], [1, -1])
+@example([0, 0, 0], [5, 6, 7])
+@settings(max_examples=300)
+def test_kronecker_product_matches_the_schoolbook_oracle(xs, ys):
+    assert qseries._convolve(xs, ys) == integer_product(xs, ys)
+    # a square takes the path that packs one operand
+    assert qseries._convolve(xs, xs) == integer_product(xs, xs)
+
+
+def _assert_canonical(s):
+    assert s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert s.nums[0] != 0 or not any(s.nums)
+
+
+@given(_offsets, _window, _offsets, _window)
+@settings(max_examples=150)
+def test_canonical_form_on_every_route(off_a, coeffs_a, off_b, coeffs_b):
+    a, b = QSeries(off_a, coeffs_a), QSeries(off_b, coeffs_b)
+    same_lattice = QSeries(off_a + 1, coeffs_b)
+    results = [a, b, a * b, a * F(-3, 4), a * 0, -a, a + same_lattice, a - a,
+               a.q_derivative(), modular_derivative(F(5, 2), a)]
+    for s in results:
+        _assert_canonical(s)
+    # one series by four routes: the constructor on scaled coefficients,
+    # a product with 1, a sum with a zero of the same window and a doubling
+    twice = QSeries(off_a, [c * 2 for c in coeffs_a]) * F(1, 2)
+    one = QSeries(0, [1] + [0] * a.order)
+    zero = QSeries(a.offset, [0] * (a.order + 1))
+    for other in (twice, a * one, a + zero, (a + a) * F(1, 2)):
+        assert other == a
+        assert hash(other) == hash(a)
+        assert (other.offset, other.den, other.nums) == (a.offset, a.den, a.nums)
+
+
+def test_zero_series_are_equal_across_offsets_and_windows():
+    zeros = [QSeries(0, [0]), QSeries(F(1, 3), [0, 0]), QSeries(5, [F(0)] * 7),
+             QSeries(F(1, 2), [1, 2]) * 0]
+    for z in zeros:
+        _assert_canonical(z)
+        assert z.is_zero() and z.den == 1
+        assert z == zeros[0] and hash(z) == hash(zeros[0])
+    assert QSeries(0, [0, 1]) != QSeries(0, [0])
+
+
+@pytest.mark.parametrize("offset, coeffs", [
+    (0, [0.1]), (0, [1, 0.5]), (0.5, [1]), (0, [True]), (True, [1]),
+    (0, ["1"]), ("1/2", [1]), (0, [Decimal(1)]), (Decimal("0.5"), [1]),
+])
+def test_qseries_refuses_non_exact_inputs(offset, coeffs):
+    # a float would enter as its binary expansion and, under one shared
+    # denominator, scale every numerator by a power of two
+    with pytest.raises(NotAnInteger):
+        QSeries(offset, coeffs)
+
+
 def test_selftest_operator_checks_compare_nonzero_series(monkeypatch):
     # a probe the derivative kills (eta^2 in weight 1) turns the (G4, D) and
     # (D, D) compose/apply checks into 0 == 0
@@ -356,7 +423,10 @@ def test_series_and_forms_take_scalars_on_the_right_only():
     s = QSeries(0, (1, 2))
     g4 = eisenstein(4, 4)
     assert (s * 3).coeffs == (F(3), F(6))
-    for bad in (lambda: 3 * s, lambda: 3 + s, lambda: sum([s, s]), lambda: 3 * g4):
+    # a scalar stands on the right and, as in the constructor, is an int or
+    # a Fraction
+    for bad in (lambda: 3 * s, lambda: 3 + s, lambda: sum([s, s]), lambda: 3 * g4,
+                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1)):
         with pytest.raises(TypeError):
             bad()
 

@@ -110,18 +110,30 @@ def test_prime_case_rejects_composite():
         prime_case_closed_forms(validate_model(5, 7), ModuleLabel(1, 3))   # s = 8
 
 
+def _identity_in_fractions(profile):
+    """h = 12 (sum lambda)/s + 1 - s in Fractions, with h from the oracle."""
+    h = kac_weight(profile.model.p, profile.model.q, profile.label.m, profile.label.n)
+    return h == Fraction(12 * sum(profile.y), profile.s * profile.big) + 1 - profile.s
+
+
 def test_minimal_weight_identity_examples():
     # h = 12 (sum lambda)/s + 1 - s, checked by hand on three labels
     for p, q, m, n in [(5, 2, 3, 1), (5, 7, 3, 5), (3, 4, 1, 3)]:
         profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
         assert minimal_weight_identity(profile)
-    # and on every acting label of a small grid, composite s included
+    # and on every acting label of a small grid, composite s included; the
+    # integer cross-multiplication agrees with the Fraction form there and
+    # on the same profile with one exponent moved
     composite = 0
     for model in models(20, 20):
         for label in list_modules(model):
             if label.is_acting:
                 profile = rep_profile(model, label)
                 assert minimal_weight_identity(profile), (model, label)
+                assert _identity_in_fractions(profile), (model, label)
+                bumped = profile._replace(y=(profile.y[0] + 1,) + profile.y[1:])
+                assert (minimal_weight_identity(bumped)
+                        is _identity_in_fractions(bumped)), (model, label)
                 composite += profile.s > 3 and not _is_prime(profile.s)
     assert composite > 0
 

@@ -33,6 +33,13 @@ checks both on every acting label of its grid.  Combined with the exact
 2-adic count (for p, q, m, n all odd every numerator of r_j is divisible
 by 2 but not 4, so nu_2(N) = 3), these give clean noncongruence
 statements when p and q are powers of primes exceeding 3.
+
+congruence_verdict reads the verdict of an acting label off one ordered
+table of rows: the explicit classification for s <= 3, the vacuum label
+(1, 1), the dimension bound, and the three arithmetic criteria.  The first
+row that holds with a status other than unknown decides.  The bound and the
+arithmetic criteria are listed in agreeing_criteria when they hold; the
+arithmetic criteria never decide, since the bound is their proof.
 """
 
 from functools import lru_cache
@@ -360,19 +367,35 @@ def classify_low_dim(model, label):
     return CongruenceVerdict(NONCONGRUENCE, DIM3_INFINITE_IMAGE, {})
 
 
-def congruence_verdict(model, label, profile=None):
-    """Aggregate verdict over all criteria, with attributed provenance.
+#: the fixed verdicts of the vacuum and bound rows, and the verdict when no
+#: row decides; congruence_verdict only reads their empty details
+_VACUUM_VERDICT = CongruenceVerdict(CONGRUENCE, VACUUM, {})
+_NW_VERDICT = CongruenceVerdict(NONCONGRUENCE, NW_DIMENSION_BOUND, {})
+_UNDECIDED = CongruenceVerdict(UNKNOWN, NO_CRITERION, {})
 
-    Evaluation order: the explicit low-dimension classification (s <= 3)
-    when decisive, then the vacuum label (1, 1) which is classically
-    congruence, then the dimension-vs-level certificate, then the three
-    arithmetic prime-power criteria.  Whenever one of the arithmetic
-    criteria fires, the certificate must fire as well (its proof is the
-    certificate), so they never decide a verdict and are only listed in
-    agreeing_criteria.  This and the three other consistency invariants
-    (no congruence classification or vacuum verdict against the
-    certificate, no low-dimension level other than the computed one) are
-    checked explicitly and raise AssertionError, also under python -O.
+
+def congruence_verdict(model, label, profile=None):
+    """Verdict from one ordered table of rows, with attributed provenance.
+
+    Each row is (tag listed in agreeing_criteria or None, whether it holds,
+    the verdict it decides or None).  In order:
+
+      1. the low-dimension classification classify_low_dim, when s <= 3;
+      2. the vacuum label (1, 1), classically congruence;
+      3. the Nobs-Wolfart dimension bound s < min_congruence_dim, listed
+         as nw-dimension-bound and decisive;
+      4. the three arithmetic criteria prime-power-bound,
+         boundary-prime-power and distinct-primes, listed but never
+         decisive: each is proved through the bound, so it only agrees.
+
+    agreeing_criteria lists the tagged rows that hold.  The first row that
+    holds with a status other than unknown decides; if none does, the
+    verdict is (unknown, none).  Three invariants are checked on the
+    chosen row and raise AssertionError, also under python -O: no tagged
+    row holds without the bound, no congruence verdict meets a certified
+    bound, and no low-dimension level differs from the computed one.
+    classify_low_dim and the criteria are looked up at call time, so a
+    patched one takes effect.
     """
     if profile is None:
         profile = rep_profile(model, label)
@@ -380,43 +403,33 @@ def congruence_verdict(model, label, profile=None):
     lv = level(profile)
     bound = min_congruence_dim(lv)
     certified = s < bound
-
-    # the criteria are looked up at call time, so a patched one takes effect
-    arithmetic = [tag for tag, criterion in (
-        (PRIME_POWER_BOUND, prime_power_criterion),
-        (BOUNDARY_PRIME_POWER, boundary_prime_power_criterion),
-        (DISTINCT_PRIMES, distinct_primes_criterion),
-    ) if criterion(model, label)]
-    if arithmetic and not certified:
+    rows = (
+        (None, s <= 3, classify_low_dim(model, label) if s <= 3 else None),
+        (None, (label.m, label.n) == (1, 1), _VACUUM_VERDICT),
+        (NW_DIMENSION_BOUND, certified, _NW_VERDICT),
+        # a CriterionResult is truthy exactly when it holds
+        (PRIME_POWER_BOUND, prime_power_criterion(model, label), None),
+        (BOUNDARY_PRIME_POWER, boundary_prime_power_criterion(model, label), None),
+        (DISTINCT_PRIMES, distinct_primes_criterion(model, label), None),
+    )
+    agreeing = [tag for tag, holds, _ in rows if tag and holds]
+    for _, holds, chosen in rows:
+        if chosen is not None and holds and chosen.status != UNKNOWN:
+            break
+    else:
+        chosen = _UNDECIDED
+    if agreeing and not certified:
         raise AssertionError("arithmetic criterion fired without the dimension bound")
-    agreeing = ([NW_DIMENSION_BOUND] if certified else []) + arithmetic
-
-    base = {
+    if chosen.status == CONGRUENCE and certified:
+        raise AssertionError("congruence verdict contradicts the dimension bound")
+    if chosen.details.get("level", lv.N) != lv.N:
+        raise AssertionError("low-dimension classification contradicts the computed level")
+    details = {
         "s": s,
         "level": lv.N,
         "level_factorization": [list(ft) for ft in lv.factorization],
         "min_congruence_dim": bound,
         "agreeing_criteria": agreeing,
     }
-
-    if s <= 3:
-        low = classify_low_dim(model, label)
-        if low.status != UNKNOWN:
-            if low.status == CONGRUENCE and certified:
-                raise AssertionError(
-                    "congruence classification contradicts the dimension bound")
-            if low.details.get("level", lv.N) != lv.N:
-                raise AssertionError(
-                    "low-dimension classification contradicts the computed level")
-            details = dict(base)
-            details.update(low.details)
-            return CongruenceVerdict(low.status, low.criterion, details)
-
-    if (label.m, label.n) == (1, 1):
-        if certified:
-            raise AssertionError("dimension bound fired on the vacuum label")
-        return CongruenceVerdict(CONGRUENCE, VACUUM, base)
-
-    if certified:
-        return CongruenceVerdict(NONCONGRUENCE, NW_DIMENSION_BOUND, base)
-    return CongruenceVerdict(UNKNOWN, NO_CRITERION, base)
+    details.update(chosen.details)
+    return CongruenceVerdict(chosen.status, chosen.criterion, details)

@@ -263,17 +263,18 @@ def _pack(xs, wb, ones):
 
 
 def _pow_series(series, w):
-    """series**w for integer w >= 0, preserving the truncation order."""
+    """series**w for integer w >= 0, preserving the truncation order.
+
+    Squares the base while a higher bit of w is left and multiplies in the
+    powers at the set bits: bit_length(w) - 1 squarings and popcount(w) - 1
+    further products, none of them with the series 1.
+    """
     if w < 0:
         raise OutOfRange("series power needs w >= 0, got %s" % w)
-    out = _series(Fraction(0), [1] + [0] * series.order, 1)
-    base = series
-    while w:
-        if w & 1:
-            out = out * base
-        base = base * base
-        w >>= 1
-    return out
+    if w < 2:
+        return series if w else _series(Fraction(0), [1] + [0] * series.order, 1)
+    half = _pow_series(series * series, w >> 1)
+    return half * series if w & 1 else half
 
 
 @lru_cache(maxsize=None)

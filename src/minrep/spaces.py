@@ -153,19 +153,18 @@ def space_comparison(profile):
     """
     big = profile.big
     flags = tuple(_window_flag(y, big) for y in profile.y)
-    model, label = profile.model, profile.label
-    case = low_dim_case(model, label)
-    ratio_check = None
-    if _WINDOWS.get(case):
-        ratio_check = ratio_in_window(case, Fraction(model.q, model.p))
-
     if profile.s > 3:
-        return SpaceComparison(WINDOW_FACTS_ONLY, flags, ratio_check)
-    if FLAG_NEGATIVE in flags:
-        return SpaceComparison(GENERATOR_NOT_HOLOMORPHIC, flags, ratio_check)
-    if all(f == FLAG_UNIT_INTERVAL for f in flags):
-        return SpaceComparison(EQUAL, flags, ratio_check)
-    return SpaceComparison(PROPER_CONTAINMENT, flags, ratio_check)
+        status = WINDOW_FACTS_ONLY
+    elif FLAG_NEGATIVE in flags:
+        status = GENERATOR_NOT_HOLOMORPHIC
+    elif all(f == FLAG_UNIT_INTERVAL for f in flags):
+        status = EQUAL
+    else:
+        status = PROPER_CONTAINMENT
+    # on a shape with a window, q/p lies in it exactly when the status is
+    # EQUAL (ratio_lambda_consistency, which the ratios suite checks)
+    has_window = _WINDOWS.get(low_dim_case(profile.model, profile.label))
+    return SpaceComparison(status, flags, status == EQUAL if has_window else None)
 
 
 def ratio_lambda_consistency(model, label):

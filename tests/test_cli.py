@@ -221,19 +221,21 @@ def test_cli_scan_repeat_runs_identical(capsys, monkeypatch):
 
 
 def test_cli_scan_matches_the_pinned_digests(capsys, monkeypatch):
-    # the grid-16 scan in both formats, serially and through the two-process
-    # pool, byte for byte against the digests the benchmark pins
+    # the grid-16, 27x9 and 29x8 scans in both formats, serially and through
+    # the two-process pool, byte for byte against the digests the benchmark
+    # pins; only grid 30 is left to the benchmark
     import hashlib
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "perfbench", "expected.json")) as src:
         pinned = json.load(src)["atlas_digests"]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for fmt in ("jsonl", "csv"):
-        for jobs in ("1", "2"):
-            assert cli.main(["scan", "--p-max", "16", "--q-max", "16",
-                             "--format", fmt, "--jobs", jobs]) == 0
-            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-            assert digest == pinned[fmt]["16,16"], (fmt, jobs)
+    for p_max, q_max in (("16", "16"), ("27", "9"), ("29", "8")):
+        for fmt in ("jsonl", "csv"):
+            for jobs in ("1", "2"):
+                assert cli.main(["scan", "--p-max", p_max, "--q-max", q_max,
+                                 "--format", fmt, "--jobs", jobs]) == 0
+                digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+                assert digest == pinned[fmt][p_max + "," + q_max], (p_max, q_max, fmt, jobs)
 
 
 def test_cli_qseries_matches_the_pinned_digests(capsys):

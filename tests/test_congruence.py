@@ -390,11 +390,22 @@ def test_exceptional_pairs_sit_on_the_bound():
 
 
 def test_verdict_unknown_when_nothing_fires():
-    # (9, 8) vacuum: s = 28, level small, no prime-power structure
-    v = congruence_verdict(validate_model(9, 8), ModuleLabel(3, 1))
-    assert v.status in (CONGRUENCE, NONCONGRUENCE, UNKNOWN)
-    v = congruence_verdict(validate_model(9, 8), ModuleLabel(5, 5))
-    assert v.criterion != "none" or v.status == UNKNOWN
+    # (9, 8) labels away from the low-dimension shapes fall to the bound;
+    # a d3i label whose classification is undetermined falls through to
+    # the vacuum row, to the bound, or to no row at all
+    expected = {
+        (9, 8, 3, 1): (NONCONGRUENCE, NW_DIMENSION_BOUND, [NW_DIMENSION_BOUND]),
+        (9, 8, 5, 5): (NONCONGRUENCE, NW_DIMENSION_BOUND, [NW_DIMENSION_BOUND]),
+        (3, 4, 1, 1): (CONGRUENCE, VACUUM, []),
+        (3, 8, 1, 5): (NONCONGRUENCE, NW_DIMENSION_BOUND, [NW_DIMENSION_BOUND]),
+        (5, 4, 3, 1): (UNKNOWN, "none", []),
+    }
+    for (p, q, m, n), want in expected.items():
+        model, label = validate_model(p, q), ModuleLabel(m, n)
+        if (p, q) != (9, 8):
+            assert classify_low_dim(model, label).criterion == DIM3_UNDETERMINED
+        v = congruence_verdict(model, label)
+        assert (v.status, v.criterion, v.details["agreeing_criteria"]) == want, (p, q, m, n)
 
 
 def test_low_dim_level_must_match_computed_level(monkeypatch):
@@ -416,24 +427,43 @@ def test_low_dim_level_must_match_computed_level(monkeypatch):
 
 def test_verdict_invariant_survives_python_O():
     # on (5, 7), (1, 5) the dimension bound is idle (s = 4, N = 40); forcing
-    # an arithmetic criterion to fire there must raise, even under -O
+    # an arithmetic criterion to fire there must raise, even under -O, and
+    # so must a congruence verdict, from a low-dimension or the vacuum row,
+    # against a certified bound
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = textwrap.dedent("""
         import sys
         import minrep.congruence as c
         from minrep import ModuleLabel, validate_model
         print("optimize", sys.flags.optimize)
+        def verdict(p, q, m, n):
+            try:
+                c.congruence_verdict(validate_model(p, q), ModuleLabel(m, n))
+            except AssertionError as exc:
+                print("raised:", exc)
+        arithmetic = c.distinct_primes_criterion
         c.distinct_primes_criterion = lambda model, label: True
-        try:
-            c.congruence_verdict(validate_model(5, 7), ModuleLabel(1, 5))
-        except AssertionError as exc:
-            print("raised:", exc)
+        verdict(5, 7, 1, 5)
+        c.distinct_primes_criterion = arithmetic
+        # (7, 2), (3, 1): s = 2 against the certified bound 3
+        low = c.classify_low_dim
+        c.classify_low_dim = lambda model, label: c.CongruenceVerdict(
+            c.CONGRUENCE, c.DIM2_CONSTANT_REP, {})
+        verdict(7, 2, 3, 1)
+        c.classify_low_dim = low
+        # (5, 7), (1, 1): s = 12 against the bound 12, made certified
+        c.min_congruence_dim = lambda lv: 13
+        verdict(5, 7, 1, 1)
         """)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert "optimize 1" in out
-    assert "raised: arithmetic criterion fired without the dimension bound" in out
+    assert out.splitlines()[1:] == [
+        "raised: arithmetic criterion fired without the dimension bound",
+        "raised: congruence verdict contradicts the dimension bound",
+        "raised: congruence verdict contradicts the dimension bound",
+    ]
 
 
 def test_transposed_models_agree_label_by_label():

@@ -62,6 +62,38 @@ def test_eta_24_is_discriminant_shape():
     assert d.series.coeffs[:4] == (F(1), F(-24), F(252), F(-1472))
 
 
+def test_series_power_matches_repeated_products_with_fewest_products(monkeypatch):
+    # series**w equals w - 1 products of the series with itself, and costs
+    # bit_length(w) - 1 squarings and popcount(w) - 1 further products, none
+    # of them with the series 1
+    products = []
+    plain_mul = QSeries.__mul__
+
+    def counted(a, b):
+        if isinstance(b, QSeries):
+            products.append(1)
+        return plain_mul(a, b)
+
+    for base in (eta_power(1, 12).series, eisenstein(4, 12).series,
+                 QSeries(F(-1, 3), [F(2, 5), 0, -3, F(1, 7)])):
+        expected = QSeries(0, [1] + [0] * base.order)
+        for w in range(31):
+            products.clear()
+            monkeypatch.setattr(QSeries, "__mul__", counted)
+            power = qseries._pow_series(base, w)
+            monkeypatch.setattr(QSeries, "__mul__", plain_mul)
+            assert len(products) == (w.bit_length() + bin(w).count("1") - 2 if w else 0)
+            assert power == expected and power.order == expected.order, w
+            assert (power.offset, power.den, power.nums) == (
+                expected.offset, expected.den, expected.nums), w
+            expected = expected * base
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    for w, count in ((1, 0), (2, 1), (24, 5)):
+        products.clear()
+        eta_power(w, 40)
+        assert len(products) == count, w
+
+
 def test_eta_leading_exponent():
     for w in (1, 5, 24, 30):
         assert eta_power(w, 8).series.offset == F(w, 24)

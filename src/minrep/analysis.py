@@ -89,7 +89,7 @@ def analyze(p, q, m, n):
         cert = irreducibility_certificate(profile)
     except SubsetBlowup:
         cert = NOT_COMPUTED
-    verdict = congruence_verdict(model, label, profile)
+    verdict = congruence_verdict(profile)
     big = profile.big
     partners = []
     lam = []

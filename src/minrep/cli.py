@@ -58,6 +58,7 @@ def build_parser():
     pa.add_argument("--m", type=int, required=True)
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--format", choices=["json", "table"], default="json")
+    pa.set_defaults(run=cmd_analyze)
 
     ps = sub.add_parser("scan", help="analyze every canonical label on a grid")
     ps.add_argument("--p-max", type=int, required=True)
@@ -66,6 +67,7 @@ def build_parser():
                     help="verdict=STATUS, dim=N or level=N")
     ps.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     ps.add_argument("--jobs", type=int, default=1)
+    ps.set_defaults(run=cmd_scan)
 
     pq = sub.add_parser("qseries", help="apply an operator expression to a builtin series")
     pq.add_argument("--expr", required=True,
@@ -74,25 +76,22 @@ def build_parser():
     pq.add_argument("--apply", required=True, dest="target",
                     help="builtin series: eta^w or G<even k>")
     pq.add_argument("--order", type=int, default=None)
+    pq.set_defaults(run=cmd_qseries)
 
     pt = sub.add_parser("selftest", help="run the verification sweeps")
     pt.add_argument("--suite", choices=["all", "monic", "lemmas", "ratios", "qseries"],
                     default="all")
     pt.add_argument("--grid", type=int, default=None)
+    pt.set_defaults(run=cmd_selftest)
     return parser
 
 
 def main(argv=None):
     try:
+        # the parser is built here, so that it binds the cmd_* functions
+        # as they stand when main runs
         args = build_parser().parse_args(argv)
-        if args.command == "analyze":
-            code = cmd_analyze(args)
-        elif args.command == "scan":
-            code = cmd_scan(args)
-        elif args.command == "qseries":
-            code = cmd_qseries(args)
-        else:
-            code = cmd_selftest(args)
+        code = args.run(args)
         sys.stdout.flush()  # so that a closed stdout is met here
         return code
     except BrokenPipeError:
@@ -143,7 +142,11 @@ def _parse_filter(spec):
         if status not in ("congruence", "noncongruence", "unknown"):
             raise _UsageError("unknown verdict %r" % status)
         return "verdict", status
-    return ("s" if key == "dim" else "level"), int(number)
+    try:  # int() refuses strings of more than sys.get_int_max_str_digits() digits
+        value = int(number)
+    except ValueError:
+        raise _UsageError("bad filter: the number in %s=N has too many digits" % key) from None
+    return ("s" if key == "dim" else "level"), value
 
 
 def _kept(record, condition):

@@ -34,10 +34,13 @@ checks both on every acting label of its grid.  Combined with the exact
 by 2 but not 4, so nu_2(N) = 3), these give clean noncongruence
 statements when p and q are powers of primes exceeding 3.
 
-congruence_verdict reads the verdict of an acting label off one ordered
-table of rows: the explicit classification for s <= 3, the vacuum label
-(1, 1), the dimension bound, and the three arithmetic criteria.  The first
-row that holds with a status other than unknown decides.  The bound and the
+Every stage here after the profile takes the RepProfile of an acting
+label alone (rep_profile has validated its model and label): level,
+classify_low_dim, the three arithmetic criteria and congruence_verdict.
+congruence_verdict reads the verdict off one ordered table of rows: the
+explicit classification for s <= 3, the vacuum label (1, 1), the
+dimension bound, and the three arithmetic criteria.  The first row that
+holds with a status other than unknown decides.  The bound and the
 arithmetic criteria are listed in agreeing_criteria when they hold; the
 arithmetic criteria never decide, since the bound is their proof.
 """
@@ -48,6 +51,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NotPrime, OutOfRange, OutOfScopeDimension
+# rep_dimension and rep_profile stay bound here so that call-site wrappers
+# of congruence.rep_dimension and congruence.rep_profile resolve
 from .fusion import rep_dimension
 from .repdata import rep_profile
 from .spaces import DIM1, DIM2_I, DIM2_II, DIM3_I, low_dim_case
@@ -251,8 +256,9 @@ class CriterionResult(NamedTuple):
         return self.holds
 
 
-def prime_power_criterion(model, label):
-    """Noncongruence test when p = r^a and q = s^b for distinct primes > 3.
+def prime_power_criterion(profile):
+    """Noncongruence test on the profile of (m, n) in V(p, q), when p = r^a
+    and q = s^b for distinct primes r, s > 3.
 
     With alpha = ceil(r^(a-2)) and beta = ceil(s^(b-2)), the representation
     is noncongruence whenever
@@ -263,8 +269,8 @@ def prime_power_criterion(model, label):
     CriterionResult whose trace records the shape data or the reason for
     failure.
     """
-    p, q, m, n = model.p, model.q, label.m, label.n
-    pp, qq = _large_prime_powers(model)
+    (p, q), (m, n) = profile.model, profile.label
+    pp, qq = _large_prime_powers(profile.model)
     if pp is None:
         return CriterionResult(False, {"reason": "p is not a power of a prime > 3"})
     if qq is None:
@@ -284,16 +290,17 @@ def prime_power_criterion(model, label):
     return CriterionResult(True, trace)
 
 
-def boundary_prime_power_criterion(model, label):
-    """Noncongruence test on the boundary shapes m = p-2 and n = q-2.
+def boundary_prime_power_criterion(profile):
+    """Noncongruence test on the profile of (m, n) in V(p, q), for the
+    boundary shapes m = p-2 and n = q-2.
 
     Case "i": m = p - 2 and q = s^b a power of a prime s > 3 with
     beta < n <= q - 4.  Case "ii": n = q - 2 and p = r^a a power of a
     prime r > 3 with alpha < m <= p - 4.  Returns a CriterionResult whose
     trace holds the case ("i" or "ii") when it fires, else a reason.
     """
-    p, q, m, n = model.p, model.q, label.m, label.n
-    pp, qq = _large_prime_powers(model)
+    (p, q), (m, n) = profile.model, profile.label
+    pp, qq = _large_prime_powers(profile.model)
     if m == p - 2 and qq is not None and _ceil_power(*qq) < n <= q - 4:
         return CriterionResult(True, {"case": "i"})
     if n == q - 2 and pp is not None and _ceil_power(*pp) < m <= p - 4:
@@ -303,12 +310,13 @@ def boundary_prime_power_criterion(model, label):
     return CriterionResult(False, {"reason": "no boundary case meets its prime-power window"})
 
 
-def distinct_primes_criterion(model, label):
-    """Noncongruence for p, q distinct primes > 3 and (m, n) outside the
-    four exceptional pairs (1,1), (1,q-2), (p-2,1), (p-2,q-2).  Returns a
-    CriterionResult; p != q always holds, since p and q are coprime."""
-    p, q, m, n = model.p, model.q, label.m, label.n
-    pp, qq = _large_prime_powers(model)
+def distinct_primes_criterion(profile):
+    """Noncongruence on the profile of (m, n) in V(p, q), for p, q distinct
+    primes > 3 and (m, n) outside the four exceptional pairs (1,1),
+    (1,q-2), (p-2,1), (p-2,q-2).  Returns a CriterionResult; p != q always
+    holds, since p and q are coprime."""
+    (p, q), (m, n) = profile.model, profile.label
+    pp, qq = _large_prime_powers(profile.model)
     if pp is None or qq is None or pp[1] != 1 or qq[1] != 1:
         return CriterionResult(False, {"reason": "p and q are not both primes > 3"})
     if (m, n) in {(1, 1), (1, q - 2), (p - 2, 1), (p - 2, q - 2)}:
@@ -324,8 +332,9 @@ class CongruenceVerdict(NamedTuple):
     details: dict
 
 
-def classify_low_dim(model, label):
-    """Classification of the representations of dimension s <= 3.
+def classify_low_dim(profile):
+    """Classification of the representations of dimension s <= 3, from the
+    profile of (m, n) in V(p, q).
 
     s = 1 (label (p-2, q-1)): the trivial representation, congruence.
     s = 2, (p-2, q-2): one fixed congruence representation with
@@ -336,10 +345,11 @@ def classify_low_dim(model, label):
         2^6 3^3 5^2 7^2, undetermined otherwise.
     s = 3, (p-6, q-1): infinite image, noncongruence.
     """
-    s = rep_dimension(model, label)
-    if s > 3:
-        raise OutOfScopeDimension("low-dimension classification needs s <= 3, got %s" % s)
-    case = low_dim_case(model, label)
+    if profile.s > 3:
+        raise OutOfScopeDimension("low-dimension classification needs s <= 3, got %s"
+                                  % profile.s)
+    model = profile.model
+    case = low_dim_case(model, profile.label)
     if case == DIM1:
         return CongruenceVerdict(CONGRUENCE, ONE_DIMENSIONAL, {"rho_T": "1"})
     if case == DIM2_I:
@@ -374,8 +384,9 @@ _NW_VERDICT = CongruenceVerdict(NONCONGRUENCE, NW_DIMENSION_BOUND, {})
 _UNDECIDED = CongruenceVerdict(UNKNOWN, NO_CRITERION, {})
 
 
-def congruence_verdict(model, label, profile=None):
-    """Verdict from one ordered table of rows, with attributed provenance.
+def congruence_verdict(profile):
+    """Verdict on the profile of an acting label, from one ordered table of
+    rows, with attributed provenance.
 
     Each row is (tag listed in agreeing_criteria or None, whether it holds,
     the verdict it decides or None).  In order:
@@ -394,23 +405,22 @@ def congruence_verdict(model, label, profile=None):
     chosen row and raise AssertionError, also under python -O: no tagged
     row holds without the bound, no congruence verdict meets a certified
     bound, and no low-dimension level differs from the computed one.
-    classify_low_dim and the criteria are looked up at call time, so a
-    patched one takes effect.
+    Every row reads the profile alone, so s, the level and the label of a
+    verdict are those of one profile.  classify_low_dim and the criteria
+    are looked up at call time, so a patched one takes effect.
     """
-    if profile is None:
-        profile = rep_profile(model, label)
     s = profile.s
     lv = level(profile)
     bound = min_congruence_dim(lv)
     certified = s < bound
     rows = (
-        (None, s <= 3, classify_low_dim(model, label) if s <= 3 else None),
-        (None, (label.m, label.n) == (1, 1), _VACUUM_VERDICT),
+        (None, s <= 3, classify_low_dim(profile) if s <= 3 else None),
+        (None, profile.label == (1, 1), _VACUUM_VERDICT),
         (NW_DIMENSION_BOUND, certified, _NW_VERDICT),
         # a CriterionResult is truthy exactly when it holds
-        (PRIME_POWER_BOUND, prime_power_criterion(model, label), None),
-        (BOUNDARY_PRIME_POWER, boundary_prime_power_criterion(model, label), None),
-        (DISTINCT_PRIMES, distinct_primes_criterion(model, label), None),
+        (PRIME_POWER_BOUND, prime_power_criterion(profile), None),
+        (BOUNDARY_PRIME_POWER, boundary_prime_power_criterion(profile), None),
+        (DISTINCT_PRIMES, distinct_primes_criterion(profile), None),
     )
     agreeing = [tag for tag, holds, _ in rows if tag and holds]
     for _, holds, chosen in rows:

@@ -32,7 +32,8 @@ from minrep.repdata import SUBSET_CAP, prime_case_closed_forms
 from minrep.selftest import suite_lemmas
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
                            low_dim_case, space_comparison)
-from minrep.errors import NotPrime, OutOfRange, OutOfScopeDimension
+from minrep.errors import (NonCanonicalLabel, NotPrime, OutOfRange,
+                           OutOfScopeDimension)
 
 from oracles import fraction_level, valuation_lemma
 
@@ -167,14 +168,14 @@ def test_min_congruence_dim_products():
 def test_nw_certificate_examples():
     # the dimension bound s < min_congruence_dim(N) fires at (7, 2, 3, 1),
     # where the low-dimension classification decides, and decides (5, 7, 1, 3)
-    v = congruence_verdict(validate_model(7, 2), ModuleLabel(3, 1))
+    v = congruence_verdict(_profile(7, 2, 3, 1))
     assert v.details["agreeing_criteria"] == [NW_DIMENSION_BOUND]
-    v = congruence_verdict(validate_model(5, 7), ModuleLabel(1, 3))
+    v = congruence_verdict(_profile(5, 7, 1, 3))
     assert v.status == NONCONGRUENCE and v.criterion == NW_DIMENSION_BOUND
     assert v.details["s"] == 8 and v.details["min_congruence_dim"] == 12
     assert v.details["agreeing_criteria"] == [
         NW_DIMENSION_BOUND, PRIME_POWER_BOUND, DISTINCT_PRIMES]
-    v = congruence_verdict(validate_model(5, 2), ModuleLabel(1, 1))
+    v = congruence_verdict(_profile(5, 2, 1, 1))
     assert v.details["s"] >= v.details["min_congruence_dim"]
     assert v.details["agreeing_criteria"] == []
 
@@ -199,13 +200,13 @@ def test_valuation_lemmas_match_fraction_oracle():
 
 
 def test_prime_power_criterion_examples():
-    assert prime_power_criterion(validate_model(5, 7), ModuleLabel(1, 3)).holds
-    res = prime_power_criterion(validate_model(5, 7), ModuleLabel(1, 1))
+    assert prime_power_criterion(_profile(5, 7, 1, 3)).holds
+    res = prime_power_criterion(_profile(5, 7, 1, 1))
     assert not res.holds and "reason" in res.trace
     # p = 25 gives alpha = ceil(5^0) = 1
-    res = prime_power_criterion(validate_model(25, 7), ModuleLabel(3, 1))
+    res = prime_power_criterion(_profile(25, 7, 3, 1))
     assert res.holds and res.trace["alpha"] == 1
-    assert not prime_power_criterion(validate_model(3, 4), ModuleLabel(1, 1)).holds
+    assert not prime_power_criterion(_profile(3, 4, 1, 1)).holds
 
 
 def _fires(result, case):
@@ -219,71 +220,74 @@ def _idle(result, reason):
 def test_boundary_criterion_examples():
     # m = p - 2 with q = 5^2: fires for beta < n <= q - 4
     window = "no boundary case meets its prime-power window"
-    model = validate_model(3, 25)
     for n in range(3, 22, 2):
-        assert _fires(boundary_prime_power_criterion(model, ModuleLabel(1, n)), "i")
-    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(1, 1)), window)
-    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(1, 23)), window)
+        assert _fires(boundary_prime_power_criterion(_profile(3, 25, 1, n)), "i")
+    assert _idle(boundary_prime_power_criterion(_profile(3, 25, 1, 1)), window)
+    assert _idle(boundary_prime_power_criterion(_profile(3, 25, 1, 23)), window)
     # n = q - 2 but m > p - 4 fails
-    assert _idle(boundary_prime_power_criterion(validate_model(7, 5), ModuleLabel(5, 3)), window)
-    assert _idle(boundary_prime_power_criterion(validate_model(3, 4), ModuleLabel(1, 3)), window)
+    assert _idle(boundary_prime_power_criterion(_profile(7, 5, 5, 3)), window)
+    assert _idle(boundary_prime_power_criterion(_profile(3, 4, 1, 3)), window)
     # case ii: n = q - 2 with p = 7^2, so alpha = 1 < m <= p - 4
-    model = validate_model(49, 3)
-    assert _fires(boundary_prime_power_criterion(model, ModuleLabel(9, 1)), "ii")
-    assert _fires(boundary_prime_power_criterion(model, ModuleLabel(45, 1)), "ii")
-    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(1, 1)), window)
-    assert _idle(boundary_prime_power_criterion(model, ModuleLabel(47, 1)), window)
-    assert _idle(boundary_prime_power_criterion(validate_model(5, 7), ModuleLabel(1, 3)),
+    assert _fires(boundary_prime_power_criterion(_profile(49, 3, 9, 1)), "ii")
+    assert _fires(boundary_prime_power_criterion(_profile(49, 3, 45, 1)), "ii")
+    assert _idle(boundary_prime_power_criterion(_profile(49, 3, 1, 1)), window)
+    assert _idle(boundary_prime_power_criterion(_profile(49, 3, 47, 1)), window)
+    assert _idle(boundary_prime_power_criterion(_profile(5, 7, 1, 3)),
                  "neither m = p-2 nor n = q-2")
 
 
 def test_distinct_primes_criterion_examples():
-    model = validate_model(5, 7)
-    assert distinct_primes_criterion(model, ModuleLabel(1, 3))
-    assert not distinct_primes_criterion(model, ModuleLabel(3, 5))
-    assert not distinct_primes_criterion(model, ModuleLabel(1, 1))
-    assert not distinct_primes_criterion(model, ModuleLabel(1, 5))
-    assert not distinct_primes_criterion(model, ModuleLabel(3, 1))
-    assert not distinct_primes_criterion(validate_model(9, 7), ModuleLabel(1, 3))
+    assert distinct_primes_criterion(_profile(5, 7, 1, 3))
+    assert not distinct_primes_criterion(_profile(5, 7, 3, 5))
+    assert not distinct_primes_criterion(_profile(5, 7, 1, 1))
+    assert not distinct_primes_criterion(_profile(5, 7, 1, 5))
+    assert not distinct_primes_criterion(_profile(5, 7, 3, 1))
+    assert not distinct_primes_criterion(_profile(9, 7, 1, 3))
+    # a criterion reads a profile, so it is never asked about a label
+    # that rep_profile refuses: one outside the model, or one not acting
+    with pytest.raises(OutOfRange):
+        _profile(5, 7, 9, 9)
+    with pytest.raises(NonCanonicalLabel):
+        _profile(5, 7, 2, 2)
     # the result type and its trace
-    assert distinct_primes_criterion(model, ModuleLabel(1, 3)) == CriterionResult(True)
+    assert distinct_primes_criterion(_profile(5, 7, 1, 3)) == CriterionResult(True)
     for m, n in [(1, 1), (1, 5), (3, 1), (3, 5)]:
-        assert _idle(distinct_primes_criterion(model, ModuleLabel(m, n)),
+        assert _idle(distinct_primes_criterion(_profile(5, 7, m, n)),
                      "(m, n) is an exceptional pair")
     not_primes = "p and q are not both primes > 3"
     # 9 = 3^2, 25 = 5^2 and 3 are all excluded
     for p, q in [(9, 7), (25, 7), (3, 7), (5, 3)]:
-        assert _idle(distinct_primes_criterion(validate_model(p, q), ModuleLabel(1, 1)),
+        assert _idle(distinct_primes_criterion(_profile(p, q, 1, 1)),
                      not_primes)
 
 
 def test_classify_low_dim_examples():
-    v = classify_low_dim(validate_model(3, 4), ModuleLabel(1, 3))
+    v = classify_low_dim(_profile(3, 4, 1, 3))
     assert (v.status, v.criterion) == (CONGRUENCE, ONE_DIMENSIONAL)
-    v = classify_low_dim(validate_model(7, 2), ModuleLabel(3, 1))
+    v = classify_low_dim(_profile(7, 2, 3, 1))
     assert (v.status, v.criterion) == (NONCONGRUENCE, DIM2_INFINITE_IMAGE)
-    v = classify_low_dim(validate_model(5, 2), ModuleLabel(1, 1))
+    v = classify_low_dim(_profile(5, 2, 1, 1))
     assert (v.status, v.criterion) == (CONGRUENCE, DIM2_P5)
-    v = classify_low_dim(validate_model(5, 7), ModuleLabel(3, 5))
+    v = classify_low_dim(_profile(5, 7, 3, 5))
     assert (v.status, v.criterion) == (CONGRUENCE, DIM2_CONSTANT_REP)
     assert "outside_stated_range" not in v.details
     # the (p-2, q-2) shape also occurs at q = 3, below the stated range,
     # with the same fixed exponents
-    v = classify_low_dim(validate_model(5, 3), ModuleLabel(3, 1))
+    v = classify_low_dim(_profile(5, 3, 3, 1))
     assert (v.status, v.criterion) == (CONGRUENCE, DIM2_CONSTANT_REP)
     assert v.details["outside_stated_range"] is True
     from minrep import rep_profile as _rp
     from fractions import Fraction as _F
     assert set(_rp(validate_model(5, 3), ModuleLabel(3, 1)).r) == {_F(5, 24), _F(-1, 24)}
     # q = 44 = 4 * 11 does not divide 2^6 3^3 5^2 7^2
-    v = classify_low_dim(validate_model(3, 44), ModuleLabel(1, 41))
+    v = classify_low_dim(_profile(3, 44, 1, 41))
     assert (v.status, v.criterion) == (NONCONGRUENCE, DIM3_LEVEL_DIVISOR)
-    v = classify_low_dim(validate_model(3, 4), ModuleLabel(1, 1))
+    v = classify_low_dim(_profile(3, 4, 1, 1))
     assert (v.status, v.criterion) == (UNKNOWN, DIM3_UNDETERMINED)
-    v = classify_low_dim(validate_model(7, 2), ModuleLabel(1, 1))
+    v = classify_low_dim(_profile(7, 2, 1, 1))
     assert (v.status, v.criterion) == (NONCONGRUENCE, DIM3_INFINITE_IMAGE)
     with pytest.raises(OutOfScopeDimension):
-        classify_low_dim(validate_model(5, 7), ModuleLabel(1, 3))
+        classify_low_dim(_profile(5, 7, 1, 3))
 
 
 def test_shape_table_drives_low_dim_classification():
@@ -305,7 +309,7 @@ def test_shape_table_drives_low_dim_classification():
                 continue
             tagged += 1
             assert SHAPES[tag] == (p - label.m, q - label.n)
-            criterion = classify_low_dim(model, label).criterion
+            criterion = classify_low_dim(rep_profile(model, label)).criterion
             if tag == DIM1:
                 assert criterion == ONE_DIMENSIONAL
             elif tag == DIM2_I:
@@ -352,24 +356,24 @@ def test_nu_and_factorize_reject_bad_input_under_python_O():
 
 
 def test_congruence_verdict_examples():
-    v = congruence_verdict(validate_model(5, 7), ModuleLabel(1, 3))
+    v = congruence_verdict(_profile(5, 7, 1, 3))
     assert (v.status, v.criterion) == (NONCONGRUENCE, NW_DIMENSION_BOUND)
     assert set(v.details["agreeing_criteria"]) >= {NW_DIMENSION_BOUND,
                                                    "prime-power-bound",
                                                    DISTINCT_PRIMES}
-    v = congruence_verdict(validate_model(5, 2), ModuleLabel(1, 1))
+    v = congruence_verdict(_profile(5, 2, 1, 1))
     assert (v.status, v.criterion) == (CONGRUENCE, DIM2_P5)
     # vacuum labels are congruence; the tag is VACUUM once s > 3 or the
     # low-dimension classification is silent
     for p, q in [(5, 7), (3, 4), (7, 4)]:
-        v = congruence_verdict(validate_model(p, q), ModuleLabel(1, 1))
+        v = congruence_verdict(_profile(p, q, 1, 1))
         assert v.status == CONGRUENCE
-    assert congruence_verdict(validate_model(5, 7), ModuleLabel(1, 1)).criterion == VACUUM
-    assert congruence_verdict(validate_model(3, 4), ModuleLabel(1, 1)).criterion == VACUUM
+    assert congruence_verdict(_profile(5, 7, 1, 1)).criterion == VACUUM
+    assert congruence_verdict(_profile(3, 4, 1, 1)).criterion == VACUUM
 
 
 def test_congruence_verdict_boundary_family():
-    v = congruence_verdict(validate_model(3, 25), ModuleLabel(1, 5))
+    v = congruence_verdict(_profile(3, 25, 1, 5))
     assert v.status == NONCONGRUENCE
     assert BOUNDARY_PRIME_POWER in v.details["agreeing_criteria"]
 
@@ -378,15 +382,16 @@ def test_exceptional_pairs_sit_on_the_bound():
     # for distinct primes the four excluded labels escape the dimension
     # bound: on (1, q-2) the prime q drops out of the level entirely and
     # the bound meets s exactly (similarly (p-2, 1) loses p)
-    model = validate_model(5, 7)
     prof = _profile(5, 7, 1, 5)
     assert prof.s == 4 and level(prof).N == 40       # no factor 7
     assert prof.s == min_congruence_dim(level(prof))
-    assert congruence_verdict(model, ModuleLabel(1, 5)).status == UNKNOWN
+    assert congruence_verdict(prof).status == UNKNOWN
     prof = _profile(5, 7, 3, 1)
     assert prof.s == 6 and level(prof).N == 168      # no factor 5
     assert prof.s == min_congruence_dim(level(prof))
-    assert congruence_verdict(model, ModuleLabel(3, 1)).status == UNKNOWN
+    v = congruence_verdict(prof)
+    # a verdict reports the s of the one profile it reads
+    assert v.status == UNKNOWN and v.details["s"] == 6
 
 
 def test_verdict_unknown_when_nothing_fires():
@@ -403,8 +408,8 @@ def test_verdict_unknown_when_nothing_fires():
     for (p, q, m, n), want in expected.items():
         model, label = validate_model(p, q), ModuleLabel(m, n)
         if (p, q) != (9, 8):
-            assert classify_low_dim(model, label).criterion == DIM3_UNDETERMINED
-        v = congruence_verdict(model, label)
+            assert classify_low_dim(rep_profile(model, label)).criterion == DIM3_UNDETERMINED
+        v = congruence_verdict(rep_profile(model, label))
         assert (v.status, v.criterion, v.details["agreeing_criteria"]) == want, (p, q, m, n)
 
 
@@ -415,14 +420,14 @@ def test_low_dim_level_must_match_computed_level(monkeypatch):
     for q in range(2, 200, 2):
         if q % 5 == 0:
             continue
-        v = congruence_verdict(validate_model(5, q), ModuleLabel(1, q - 1))
+        v = congruence_verdict(_profile(5, q, 1, q - 1))
         assert v.criterion == DIM2_P5
         assert v.details["level"] == fast_level(5, q, 1, q - 1) == 60
     import minrep.congruence as c
-    monkeypatch.setattr(c, "classify_low_dim", lambda model, label: c.CongruenceVerdict(
+    monkeypatch.setattr(c, "classify_low_dim", lambda profile: c.CongruenceVerdict(
         CONGRUENCE, DIM2_P5, {"level": 61}))
     with pytest.raises(AssertionError, match="contradicts the computed level"):
-        congruence_verdict(validate_model(5, 2), ModuleLabel(1, 1))
+        congruence_verdict(_profile(5, 2, 1, 1))
 
 
 def test_verdict_invariant_survives_python_O():
@@ -434,20 +439,20 @@ def test_verdict_invariant_survives_python_O():
     script = textwrap.dedent("""
         import sys
         import minrep.congruence as c
-        from minrep import ModuleLabel, validate_model
+        from minrep import ModuleLabel, rep_profile, validate_model
         print("optimize", sys.flags.optimize)
         def verdict(p, q, m, n):
             try:
-                c.congruence_verdict(validate_model(p, q), ModuleLabel(m, n))
+                c.congruence_verdict(rep_profile(validate_model(p, q), ModuleLabel(m, n)))
             except AssertionError as exc:
                 print("raised:", exc)
         arithmetic = c.distinct_primes_criterion
-        c.distinct_primes_criterion = lambda model, label: True
+        c.distinct_primes_criterion = lambda profile: True
         verdict(5, 7, 1, 5)
         c.distinct_primes_criterion = arithmetic
         # (7, 2), (3, 1): s = 2 against the certified bound 3
         low = c.classify_low_dim
-        c.classify_low_dim = lambda model, label: c.CongruenceVerdict(
+        c.classify_low_dim = lambda profile: c.CongruenceVerdict(
             c.CONGRUENCE, c.DIM2_CONSTANT_REP, {})
         verdict(7, 2, 3, 1)
         c.classify_low_dim = low
@@ -484,8 +489,8 @@ def test_transposed_models_agree_label_by_label():
                 assert a.s == b.s
                 assert sorted(a.r) == sorted(b.r)
                 assert level(a).N == level(b).N
-                va = congruence_verdict(model, label, a)
-                vb = congruence_verdict(transposed, other, b)
+                va = congruence_verdict(a)
+                vb = congruence_verdict(b)
                 assert (va.status, va.criterion) == (vb.status, vb.criterion)
                 assert (set(va.details["agreeing_criteria"])
                         == set(vb.details["agreeing_criteria"]))

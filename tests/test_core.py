@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from minrep import (MinimalModel, ModuleLabel, canonical_label, central_charge,
-                    classify_low_dim, conformal_weight, congruence_verdict,
+                    conformal_weight, congruence_verdict,
                     list_modules, rep_dimension, rep_profile,
                     self_coupled_partners, validate_model)
 from minrep.core import models
@@ -30,7 +30,7 @@ def test_records_are_immutable_ordered_tuples():
     profile = rep_profile(model, label)
     small = rep_profile(validate_model(3, 4), ModuleLabel(1, 3))
     records = [model, label, profile, level(profile),
-               distinct_primes_criterion(model, label), congruence_verdict(model, label),
+               distinct_primes_criterion(profile), congruence_verdict(profile),
                minimal_weight_profile(small), space_comparison(profile),
                selftest.SuiteResult("ratios", 1, []), qseries.eisenstein(4, 4)]
     assert len({type(record) for record in records}) == 10
@@ -58,10 +58,10 @@ def test_records_are_immutable_ordered_tuples():
     # a criterion result is true when it holds; each firing result has its
     # own trace, and the default trace cannot be written
     for m, n in [(1, 3), (1, 1), (3, 5)]:
-        result = distinct_primes_criterion(model, ModuleLabel(m, n))
+        result = distinct_primes_criterion(rep_profile(model, ModuleLabel(m, n)))
         assert bool(result) is result.holds
-    first = distinct_primes_criterion(model, ModuleLabel(1, 3))
-    second = distinct_primes_criterion(model, ModuleLabel(1, 3))
+    first = distinct_primes_criterion(profile)
+    second = distinct_primes_criterion(profile)
     assert first.holds and second.holds and first.trace is not second.trace
     first.trace["seen"] = True
     assert second.trace == {} and CriterionResult(True).trace == {}
@@ -92,10 +92,10 @@ def test_non_integer_indices_are_rejected():
             canonical_label(model, m, n)
         with pytest.raises(NotAnInteger):
             conformal_weight(model, m, n)
-        # the label-taking layers check the type too, not only the range
+        # the label-taking layers check the type too, not only the range;
+        # the stages after rep_profile take its profile, so never such a label
         label = ModuleLabel(m, n)
-        for func in (rep_dimension, self_coupled_partners, rep_profile,
-                     congruence_verdict, classify_low_dim):
+        for func in (rep_dimension, self_coupled_partners, rep_profile):
             with pytest.raises(NotAnInteger):
                 func(model, label)
     assert issubclass(NotAnInteger, MinrepError)

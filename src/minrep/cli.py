@@ -328,16 +328,11 @@ def parse_operator(expr, order):
     terms = re.findall(r"[+-]?[^+-]+", text)
     if "".join(terms) != text:
         raise ExpressionError("cannot parse %r" % expr)
-    total = None
+    total = qseries.ModularOperator(())
     for term in terms:
-        sign = Fraction(1)
-        if term[0] in "+-":
-            if term[0] == "-":
-                sign = Fraction(-1)
-            term = term[1:]
-        coeff = sign
-        g4 = g6 = ndeg = 0
-        for factor in term.split("*"):
+        coeff = Fraction(-1 if term[0] == "-" else 1)
+        powers = dict.fromkeys(("G4", "G6", "D"), 0)
+        for factor in term.lstrip("+-").split("*"):
             match = _FACTOR_RE.fullmatch(factor)
             if match is None:
                 raise ExpressionError("bad factor %r" % factor)
@@ -349,24 +344,16 @@ def parse_operator(expr, order):
                     raise ExpressionError("zero denominator or too many digits in %.20r"
                                           % factor) from None
             else:
-                power = _int(power) if power else 1
-                if name == "G4":
-                    g4 += power
-                elif name == "G6":
-                    g6 += power
-                else:
-                    ndeg += power
-        if max(g4, g6, ndeg) > qseries.MAX_POWER:
+                powers[name] += _int(power) if power else 1
+        if max(powers.values()) > qseries.MAX_POWER:
             raise ExpressionError("a power of G4, G6 or D is over %d" % qseries.MAX_POWER)
-        form = qseries.ModularForm(
-            Fraction(0), qseries.QSeries(0, (coeff,) + (Fraction(0),) * order)
-        )
-        for k, power in ((4, g4), (6, g6)):
+        form = qseries.ModularForm(Fraction(0), qseries.QSeries(0, [coeff] + [0] * order))
+        for k, name in ((4, "G4"), (6, "G6")):
+            power = powers[name]
             if power:
                 g = qseries.eisenstein(k, order)
                 form *= qseries.ModularForm(g.weight * power, qseries._pow_series(g.series, power))
-        op = qseries.ModularOperator((None,) * ndeg + (form,))
-        total = op if total is None else total + op
+        total = total + qseries.ModularOperator((None,) * powers["D"] + (form,))
     return total
 
 

@@ -10,9 +10,9 @@ class MinrepError(ValueError):
 
 
 class NotAnInteger(MinrepError, TypeError):
-    """An index p, q, m or n is not a plain int, or a window ratio or a
-    q-series offset or coefficient is not an int or a Fraction (bool,
-    float, str and Decimal included)."""
+    """An index p, q, m or n is not a plain int, or a window ratio, a
+    q-series offset or coefficient or a q-series weight is not an int or a
+    Fraction (bool, float, str and Decimal included)."""
 
 
 class OutOfRange(MinrepError):

@@ -32,15 +32,6 @@ from .errors import NonCanonicalLabel, OutOfRange
 MAX_DIMENSION = 100_000
 
 
-def _require_acting(model, label):
-    m, n = label.m, label.n
-    _check_label_range(model, m, n)
-    if m % 2 == 0 or n % 2 == 0:
-        raise NonCanonicalLabel(
-            "label (%s, %s) is not an acting label: m and n must both be odd" % (m, n)
-        )
-
-
 def self_coupled_partners(model, label):
     """All partners (m_j, n_j) of the acting label, as a tuple of pairs in
     lexicographic order.
@@ -68,6 +59,11 @@ def self_coupled_partners(model, label):
 
 def rep_dimension(model, label):
     """Dimension (p-m)(q-n)/2 of the space spanned by the 1-point functions."""
-    _require_acting(model, label)
-    return (model.p - label.m) * (model.q - label.n) // 2
+    m, n = label.m, label.n
+    _check_label_range(model, m, n)
+    if m % 2 == 0 or n % 2 == 0:
+        raise NonCanonicalLabel(
+            "label (%s, %s) is not an acting label: m and n must both be odd" % (m, n)
+        )
+    return (model.p - m) * (model.q - n) // 2
 

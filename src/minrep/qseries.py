@@ -68,6 +68,14 @@ MAX_POWER = 100
 _EXACT = (int, Fraction)
 
 
+def _check_exact(what, value):
+    """Refuse a value of any type but int and Fraction, so that no binary
+    expansion enters the exact arithmetic."""
+    if type(value) not in _EXACT:
+        raise NotAnInteger("%s must be int or Fraction, got %r of type %s"
+                           % (what, value, type(value).__name__))
+
+
 class QSeries:
     """Truncated q-expansion q^offset * (nums[0] + nums[1] q + ...) / den,
     with integer numerators over one positive denominator, in lowest
@@ -78,11 +86,9 @@ class QSeries:
     def __init__(self, offset, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
-            raise ValueError("a QSeries needs at least one coefficient")
+            raise OutOfRange("a QSeries needs at least one coefficient")
         for value in (offset,) + coeffs:
-            if type(value) not in _EXACT:
-                raise NotAnInteger("q-series offsets and coefficients must be int or "
-                                   "Fraction, got %r of type %s" % (value, type(value).__name__))
+            _check_exact("q-series offsets and coefficients", value)
         den = lcm(*(c.denominator for c in coeffs))
         self._normalise(Fraction(offset),
                         [c.numerator * (den // c.denominator) for c in coeffs], den)
@@ -364,6 +370,8 @@ def eisenstein(k, order=DEFAULT_ORDER):
     """Eisenstein series G_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n."""
     if k % 2 != 0 or k < 2:
         raise OddWeight("Eisenstein series need even weight >= 2, got %s" % k)
+    if order < 0:
+        raise OutOfRange("truncation order must be >= 0, got %s" % order)
     return ModularForm(Fraction(k), _eisenstein_series(k, order))
 
 
@@ -372,30 +380,29 @@ def _euler_coeffs(order):
     """prod (1 - q^n) by the pentagonal number theorem, as integers."""
     out = [0] * (order + 1)
     k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            g = kk * (3 * kk - 1) // 2
+    # the generalised pentagonal numbers k(3k - 1)/2 < k(3k + 1)/2 are
+    # distinct for k >= 1, and both are 0 for k = 0
+    while k * (3 * k - 1) // 2 <= order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if g <= order:
-                out[g] += (-1) ** (kk & 1)
-                hit = True
-        if not hit:
-            break
+                out[g] = -1 if k & 1 else 1
         k += 1
     return tuple(out)
 
 
 def eta_power(w, order=DEFAULT_ORDER):
     """eta^w = q^(w/24) prod (1 - q^n)^w as a form of weight w/2."""
-    if w < 1:
-        raise OutOfRange("eta power needs w >= 1, got %s" % w)
+    if w < 1 or order < 0:
+        raise OutOfRange("eta power needs w >= 1 and order >= 0, got %s and %s" % (w, order))
     powered = _pow_series(_series(Fraction(0), _euler_coeffs(order), 1), w)
     return ModularForm(Fraction(w, 2), _series(Fraction(w, 24), powered.nums, powered.den))
 
 
 def modular_derivative(k, f):
-    """D_k f = q df/dq + k G2 f for a QSeries f, exact to f's order."""
-    return f.q_derivative() + (_eisenstein_series(2, f.order) * f) * Fraction(k)
+    """D_k f = q df/dq + k G2 f for a QSeries f, exact to f's order; the
+    weight k must be an int or a Fraction."""
+    _check_exact("a weight", k)
+    return f.q_derivative() + (_eisenstein_series(2, f.order) * f) * k
 
 
 class ModularOperator:
@@ -431,13 +438,10 @@ class ModularOperator:
         raise AttributeError("ModularOperator is immutable")
 
     @classmethod
-    def from_form(cls, form):
-        """Multiplication by a modular form, as a degree-0 operator."""
-        return cls((form,))
-
-    @classmethod
     def derivative(cls, order=DEFAULT_ORDER):
         """The bare D, a degree-1 operator with coefficient 1."""
+        if order < 0:
+            raise OutOfRange("truncation order must be >= 0, got %s" % order)
         one = ModularForm(Fraction(0), QSeries(0, (Fraction(1),) + (Fraction(0),) * order))
         return cls((None, one))
 
@@ -476,9 +480,10 @@ class ModularOperator:
 def apply_operator(op, components, weight):
     """Apply the operator componentwise to QSeries of one declared weight.
 
-    Returns a list of QSeries; the output weight is weight + raise.
+    Returns a list of QSeries; the output weight is weight + raise.  The
+    weight must be an int or a Fraction.
     """
-    weight = Fraction(weight)
+    _check_exact("a weight", weight)
     out = []
     for f in components:
         acc = None

@@ -146,7 +146,7 @@ def suite_qseries(order=qseries.DEFAULT_ORDER):
     # operator ring: Leibniz composition matches application order, on a
     # probe that D does not kill (D eta^w = 0 would make two pairs 0 == 0)
     der = qseries.ModularOperator.derivative(order)
-    mult_g4 = qseries.ModularOperator.from_form(g4)
+    mult_g4 = qseries.ModularOperator((g4,))
     for a, b in [(der, mult_g4), (mult_g4, der), (der, der)]:
         left = qseries.apply_operator(a.compose(b), [g4.series], g4.weight)[0]
         right = qseries.apply_operator(

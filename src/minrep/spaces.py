@@ -126,15 +126,6 @@ def low_dim_case(model, label):
     return _SHAPE_BY_GAP.get((model.p - label.m, model.q - label.n))
 
 
-def _window_flag(y, big):
-    # lambda = y / big with big > 0
-    if y < 0:
-        return FLAG_NEGATIVE
-    if y < big:
-        return FLAG_UNIT_INTERVAL
-    return FLAG_GE_ONE
-
-
 class SpaceComparison(NamedTuple):
     """Verdict on V(rho) versus H(rho) plus the per-component window facts."""
 
@@ -152,7 +143,9 @@ def space_comparison(profile):
     cusp.  For s > 3 only window facts are reported.
     """
     big = profile.big
-    flags = tuple(_window_flag(y, big) for y in profile.y)
+    # lambda = y / big with big > 0
+    flags = tuple(FLAG_NEGATIVE if y < 0 else FLAG_UNIT_INTERVAL if y < big else FLAG_GE_ONE
+                  for y in profile.y)
     if profile.s > 3:
         status = WINDOW_FACTS_ONLY
     elif FLAG_NEGATIVE in flags:

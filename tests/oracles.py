@@ -187,6 +187,17 @@ def integer_product(xs, ys):
     return [sum(xs[i] * ys[k - i] for i in range(k + 1)) for k in range(n)]
 
 
+def euler_product(order):
+    """The coefficients of prod_{1 <= n <= order} (1 - q^n) through q^order,
+    multiplied out one factor at a time on a list of integers."""
+    out = [1] + [0] * order
+    for n in range(1, order + 1):
+        # times (1 - q^n), from the top so that each term is read unchanged
+        for j in range(order, n - 1, -1):
+            out[j] -= out[j - n]
+    return out
+
+
 def series_product(off_a, coeffs_a, off_b, coeffs_b):
     """(offset, coefficients) of the truncated product of two q-series.
 

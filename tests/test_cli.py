@@ -512,8 +512,9 @@ def test_public_names_resolve_and_match_the_imports():
 
 
 def test_package_modules_use_every_name_they_import():
-    # no linter is installed, so unused imports are caught here; a binding
-    # that perfbench's tracer replaces by name counts as used
+    # no linter is installed, so unused imports and private helpers are
+    # caught here; a binding that perfbench's tracer replaces by name counts
+    # as used
     tracer_path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
@@ -523,19 +524,28 @@ def test_package_modules_use_every_name_they_import():
     paths = glob.glob(os.path.join(os.path.dirname(minrep.__file__), "*.py"))
     assert len(paths) > 1
     excused = set()
+    defined, referenced = set(), set()
     for path in paths:
         module = "minrep." + os.path.basename(path)[:-3]
-        if module == "minrep.__init__":
-            continue
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        referenced |= used | {node.attr for node in ast.walk(tree)
+                              if isinstance(node, ast.Attribute)}
+        if module == "minrep.__init__":
+            continue
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = {name for name in imported - used if (module, name) not in kept}
         assert not unused, (module, sorted(unused))
         excused |= {(module, name) for name in imported - used}
+    # every private function, method and class is referenced, by name or by
+    # attribute, somewhere in the package (dunder methods are called implicitly)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert private and not private - referenced, sorted(private - referenced)
     # the bindings kept only for the tracer; each goes with its site
     assert excused == {("minrep.analysis", "level"),
                        ("minrep.spaces", "irreducibility_certificate"),

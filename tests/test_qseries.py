@@ -13,7 +13,7 @@ from minrep import (DEFAULT_ORDER, ModularForm, ModularOperator, QSeries,
 from minrep.errors import (ExponentMismatch, InhomogeneousOperator, NotAnInteger,
                            OddWeight, OutOfRange, WeightMismatch)
 
-from oracles import integer_product, series_product
+from oracles import euler_product, integer_product, series_product
 
 F = Fraction
 
@@ -53,6 +53,8 @@ def test_eta_expansion():
     expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
     for j in range(16):
         assert eta.series.coeffs[j] == expected.get(j, 0)
+    # and far past q^15, against the product multiplied out
+    assert eta_power(1, 300).series.nums == tuple(euler_product(300))
 
 
 def test_eta_24_is_discriminant_shape():
@@ -99,6 +101,13 @@ def test_eta_leading_exponent():
         assert eta_power(w, 8).series.offset == F(w, 24)
     with pytest.raises(OutOfRange):
         eta_power(0)
+    # a negative truncation order is refused; order 0 is allowed
+    for bad in (lambda: eta_power(2, -3), lambda: eisenstein(4, -1),
+                lambda: ModularOperator.derivative(-2)):
+        with pytest.raises(OutOfRange):
+            bad()
+    assert eta_power(2, 0).series.order == eisenstein(4, 0).series.order == 0
+    assert ModularOperator.derivative(0).coeffs[1].series.order == 0
 
 
 def test_modular_derivative_annihilates_eta_powers():
@@ -131,6 +140,8 @@ def test_qseries_normalisation_and_coefficient():
     assert s.coefficient(F(1, 2)) == 0    # off the lattice: exactly zero
     with pytest.raises(OutOfRange):
         s.coefficient(F(13, 3))
+    with pytest.raises(OutOfRange):
+        QSeries(0, [])
 
 
 def test_qseries_add_alignment():
@@ -199,10 +210,10 @@ def test_operator_homogeneity():
     with pytest.raises(InhomogeneousOperator):
         ModularOperator((g4, g4))
     with pytest.raises(InhomogeneousOperator):
-        ModularOperator.from_form(g4) + ModularOperator.from_form(g6)
+        ModularOperator((g4,)) + ModularOperator((g6,))
     # disjoint slots with different raises (4 and 6) are still rejected
     with pytest.raises(InhomogeneousOperator):
-        ModularOperator.from_form(g4) + ModularOperator((None, g4))
+        ModularOperator((g4,)) + ModularOperator((None, g4))
     # the zero map adds as an identity on either side, and composes to
     # the zero map on either side
     for total in (zero + op, op + zero):
@@ -218,7 +229,7 @@ def test_operator_homogeneity():
 def test_operator_compose_leibniz():
     # D after G4 equals G4 D + (D_4 G4) = G4 D + 14 G6
     der = ModularOperator.derivative()
-    g4op = ModularOperator.from_form(eisenstein(4))
+    g4op = ModularOperator((eisenstein(4),))
     composed = der.compose(g4op)
     g6 = eisenstein(6)
     assert len(composed.coeffs) == 2
@@ -227,7 +238,7 @@ def test_operator_compose_leibniz():
 
 
 def test_identity_operator():
-    ident = ModularOperator.from_form(ModularForm(F(0), QSeries(0, [1] + [0] * DEFAULT_ORDER)))
+    ident = ModularOperator((ModularForm(F(0), QSeries(0, [1] + [0] * DEFAULT_ORDER)),))
     g4 = eisenstein(4)
     out = apply_operator(ident, [g4.series], 4)[0]
     assert (out - g4.series).is_zero()
@@ -242,7 +253,7 @@ def test_identity_operator():
 
 def test_double_derivative_associativity_instance():
     der = ModularOperator.derivative()
-    g4op = ModularOperator.from_form(eisenstein(4))
+    g4op = ModularOperator((eisenstein(4),))
     probe = eta_power(2).series
     lhs = der.compose(der).compose(g4op)
     rhs = der.compose(der.compose(g4op))
@@ -260,7 +271,7 @@ def test_apply_weight_checks():
 def test_apply_on_vectors():
     g4 = eisenstein(4)
     comps = [eta_power(8).series, eta_power(8).series * 3]
-    out = apply_operator(ModularOperator.from_form(g4), comps, 4)
+    out = apply_operator(ModularOperator((g4,)), comps, 4)
     assert (out[0] * 3 - out[1]).is_zero()
 
 
@@ -302,7 +313,7 @@ def test_operator_composition_associative_on_pool():
 
 def test_compose_apply_consistency_and_associativity():
     der = ModularOperator.derivative()
-    g4op = ModularOperator.from_form(eisenstein(4))
+    g4op = ModularOperator((eisenstein(4),))
     probe = eta_power(2)
     for a, b in [(der, g4op), (g4op, der), (der, der)]:
         together = apply_operator(a.compose(b), [probe.series], probe.weight)[0]
@@ -458,7 +469,11 @@ def test_series_and_forms_take_scalars_on_the_right_only():
     # a scalar stands on the right and, as in the constructor, is an int or
     # a Fraction
     for bad in (lambda: 3 * s, lambda: 3 + s, lambda: sum([s, s]), lambda: 3 * g4,
-                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1)):
+                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1),
+                lambda: modular_derivative(0.1, eta_power(1, 3).series),
+                lambda: modular_derivative(True, s),
+                lambda: apply_operator(ModularOperator.derivative(3), [s], 0.1),
+                lambda: apply_operator(ModularOperator.derivative(3), [s], False)):
         with pytest.raises(TypeError):
             bad()
 
@@ -478,9 +493,9 @@ def test_operators_agree_truth_table():
         (ModularOperator((g6, g4)), ModularOperator((g6 * 2, g4)), False),
         (ModularOperator((g6, g4)), ModularOperator((None, g4)), False),
         # different lengths
-        (ModularOperator.from_form(g6), ModularOperator((g6, g4)), False),
+        (ModularOperator((g6,)), ModularOperator((g6, g4)), False),
         # different raises, although the series are equal
-        (ModularOperator.from_form(g4), ModularOperator.from_form(g4_as_weight_6), False),
+        (ModularOperator((g4,)), ModularOperator((g4_as_weight_6,)), False),
     ]
     for a, b, want in cases:
         assert agree(a, b) is want

@@ -116,17 +116,8 @@ def analyze(p, q, m, n):
     else:
         record["k0"] = record["alpha"] = None
 
-    record["verdict"] = {
-        "status": verdict.status,
-        "criterion": verdict.criterion,
-        "details": verdict.details,
-    }
-    spaces = space_comparison(profile)
-    record["spaces"] = {
-        "status": spaces.status,
-        "lambda_flags": list(spaces.lambda_flags),
-        "ratio_check": spaces.ratio_check,
-    }
+    record["verdict"] = verdict._asdict()
+    record["spaces"] = space_comparison(profile)._asdict()
     return record
 
 

@@ -392,8 +392,7 @@ def cmd_qseries(args):
         raise _UsageError("order must be in [1, %d], got %s" % (qseries.MAX_ORDER, order))
     target = parse_builtin_series(args.target, order)
     operator = parse_operator(args.expr, order)
-    result = qseries.apply_operator(operator, [target.series], target.weight)[0]
-    print(result.serialize())
+    print(qseries.apply_operator(operator, target).series.serialize())
     return EXIT_OK
 
 

@@ -62,7 +62,7 @@ def validate_model(p, q):
     nothing since the central charge is symmetric.  Raises NotAnInteger,
     OutOfRange or NotCoprime on bad input.
     """
-    _check_int(p, q)
+    _check_int("indices", p, q)
     if not (2 <= p <= MAX_INDEX and 2 <= q <= MAX_INDEX):
         raise OutOfRange("minimal model indices must satisfy 2 <= p, q <= MAX_INDEX = %s, "
                          "got (%s, %s)" % (MAX_INDEX, p, q))
@@ -126,16 +126,29 @@ def list_modules(model):
     return labels
 
 
-def _check_int(*values):
-    # bool is an int subclass and float indices compare fine, so test the type
+def _check_int(what, *values):
+    # bool is an int subclass and a float compares fine, so test the type
     for v in values:
         if type(v) is not int:
-            raise NotAnInteger("indices must be int, got %r of type %s"
-                               % (v, type(v).__name__))
+            raise NotAnInteger("%s must be int, got %r of type %s"
+                               % (what, v, type(v).__name__))
+
+
+#: the exact scalar types: q-series coefficients, offsets, scalar factors
+#: and weights, and window ratios
+_EXACT = (int, Fraction)
+
+
+def _check_exact(what, value):
+    """Refuse a value of any type but int and Fraction, so that no binary
+    expansion enters the exact arithmetic."""
+    if type(value) not in _EXACT:
+        raise NotAnInteger("%s must be int or Fraction, got %r of type %s"
+                           % (what, value, type(value).__name__))
 
 
 def _check_label_range(model, m, n):
-    _check_int(m, n)
+    _check_int("indices", m, n)
     if not (1 <= m <= model.p - 1 and 1 <= n <= model.q - 1):
         raise OutOfRange(
             "Kac label (%s, %s) out of range for (p, q) = (%s, %s)" % (m, n, model.p, model.q)

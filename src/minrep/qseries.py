@@ -54,8 +54,9 @@ from itertools import zip_longest
 from math import comb, factorial, floor, gcd, lcm
 from operator import add
 
-from .errors import (ExponentMismatch, InhomogeneousOperator, NotAnInteger, OddWeight,
-                     OutOfRange, WeightMismatch)
+from .core import _EXACT, _check_exact, _check_int
+from .errors import (ExponentMismatch, InhomogeneousOperator, OddWeight, OutOfRange,
+                     WeightMismatch)
 
 #: default truncation order for q-expansions
 DEFAULT_ORDER = 40
@@ -63,18 +64,6 @@ DEFAULT_ORDER = 40
 MAX_ORDER = 10_000
 #: largest G4, G6 or D exponent and eta power the qseries command accepts
 MAX_POWER = 100
-
-#: the exact scalar types: coefficients, offsets and scalar factors
-_EXACT = (int, Fraction)
-
-
-def _check_exact(what, value):
-    """Refuse a value of any type but int and Fraction, so that no binary
-    expansion enters the exact arithmetic."""
-    if type(value) not in _EXACT:
-        raise NotAnInteger("%s must be int or Fraction, got %r of type %s"
-                           % (what, value, type(value).__name__))
-
 
 class QSeries:
     """Truncated q-expansion q^offset * (nums[0] + nums[1] q + ...) / den,
@@ -294,7 +283,8 @@ def _bernoulli_list(kmax):
 
 
 def bernoulli(k):
-    """The k-th Bernoulli number for even k >= 2, exactly."""
+    """The k-th Bernoulli number for even int k >= 2, exactly."""
+    _check_int("the Bernoulli index k", k)
     if k % 2 != 0 or k < 2:
         raise OddWeight("Bernoulli numbers are exposed for even k >= 2, got %s" % k)
     return _bernoulli_list(k)[k]
@@ -367,7 +357,10 @@ def _eisenstein_series(k, order):
 
 
 def eisenstein(k, order=DEFAULT_ORDER):
-    """Eisenstein series G_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n."""
+    """Eisenstein series G_k = -B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n,
+    for even int k >= 2 and int order >= 0."""
+    _check_int("the Eisenstein weight k", k)
+    _check_int("the truncation order", order)
     if k % 2 != 0 or k < 2:
         raise OddWeight("Eisenstein series need even weight >= 2, got %s" % k)
     if order < 0:
@@ -391,7 +384,10 @@ def _euler_coeffs(order):
 
 
 def eta_power(w, order=DEFAULT_ORDER):
-    """eta^w = q^(w/24) prod (1 - q^n)^w as a form of weight w/2."""
+    """eta^w = q^(w/24) prod (1 - q^n)^w as a form of weight w/2, for int
+    w >= 1 and int order >= 0."""
+    _check_int("the eta power w", w)
+    _check_int("the truncation order", order)
     if w < 1 or order < 0:
         raise OutOfRange("eta power needs w >= 1 and order >= 0, got %s and %s" % (w, order))
     powered = _pow_series(_series(Fraction(0), _euler_coeffs(order), 1), w)
@@ -439,7 +435,9 @@ class ModularOperator:
 
     @classmethod
     def derivative(cls, order=DEFAULT_ORDER):
-        """The bare D, a degree-1 operator with coefficient 1."""
+        """The bare D, a degree-1 operator whose coefficient 1 is known
+        through q^order, for an int order >= 0."""
+        _check_int("the truncation order", order)
         if order < 0:
             raise OutOfRange("truncation order must be >= 0, got %s" % order)
         one = ModularForm(Fraction(0), QSeries(0, (Fraction(1),) + (Fraction(0),) * order))
@@ -477,26 +475,23 @@ class ModularOperator:
         return total
 
 
-def apply_operator(op, components, weight):
-    """Apply the operator componentwise to QSeries of one declared weight.
+def apply_operator(op, form):
+    """Apply the operator to a form whose weight is an int or a Fraction.
 
-    Returns a list of QSeries; the output weight is weight + raise.  The
-    weight must be an int or a Fraction.
+    Returns the ModularForm of weight form.weight + op.weight_raise.  An
+    operator with no nonzero slot gives the zero series on the input's
+    window; the zero operator (weight_raise None) keeps the input weight.
     """
-    _check_exact("a weight", weight)
-    out = []
-    for f in components:
-        acc = None
-        df, w = f, weight
-        for i, phi in enumerate(op.coeffs):
-            if i > 0:
-                df = modular_derivative(w, df)
-                w += 2
-            if phi is None or phi.is_zero():
-                continue
-            term = phi.series * df
+    _check_exact("a weight", form.weight)
+    acc = None
+    df = form
+    for i, phi in enumerate(op.coeffs):
+        if i:
+            df = df.derivative()
+        if phi is not None and not phi.is_zero():
+            term = phi.series * df.series
             acc = term if acc is None else acc + term
-        if acc is None:
-            acc = _series(f.offset, [0] * (f.order + 1), 1)
-        out.append(acc)
-    return out
+    if acc is None:
+        acc = form.series * 0
+    raised = op.weight_raise
+    return ModularForm(form.weight if raised is None else form.weight + raised, acc)

@@ -35,7 +35,8 @@ lambda_3 < 1 forces q/p < 2/3.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotAnInteger, NotLowDimCase
+from .core import _check_exact
+from .errors import NotLowDimCase
 # irreducibility_certificate stays bound here so that call-site wrappers of
 # spaces.irreducibility_certificate resolve
 from .repdata import irreducibility_certificate, rep_profile
@@ -112,9 +113,7 @@ def ratio_in_window(case, ratio):
     decides a window end.  With ratio = num/den, den > 0, the sign of
     ratio - (a + c*sqrt(d))/e is the sign of e*num - a*den - c*den*sqrt(d).
     """
-    if type(ratio) not in (int, Fraction):
-        raise NotAnInteger("the ratio must be an int or a Fraction, got %r of type %s"
-                           % (ratio, type(ratio).__name__))
+    _check_exact("the ratio", ratio)
     num, den = ratio.as_integer_ratio()
     signs = [[_surd_sign(e * num - a * den, c * den, d) for a, c, d, e in window]
              for window in ratio_bounds(case)]
@@ -130,7 +129,7 @@ class SpaceComparison(NamedTuple):
     """Verdict on V(rho) versus H(rho) plus the per-component window facts."""
 
     status: str
-    lambda_flags: tuple
+    lambda_flags: list           # a list, so that a record stays JSON-native
     ratio_check: object = None   # bool for the shapes with a window, else None
 
 
@@ -144,8 +143,8 @@ def space_comparison(profile):
     """
     big = profile.big
     # lambda = y / big with big > 0
-    flags = tuple(FLAG_NEGATIVE if y < 0 else FLAG_UNIT_INTERVAL if y < big else FLAG_GE_ONE
-                  for y in profile.y)
+    flags = [FLAG_NEGATIVE if y < 0 else FLAG_UNIT_INTERVAL if y < big else FLAG_GE_ONE
+             for y in profile.y]
     if profile.s > 3:
         status = WINDOW_FACTS_ONLY
     elif FLAG_NEGATIVE in flags:

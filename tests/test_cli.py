@@ -239,6 +239,43 @@ def test_cli_scan_matches_the_pinned_digests(capsys, monkeypatch):
                 assert digest == pinned[fmt][p_max + "," + q_max], (p_max, q_max, fmt, jobs)
 
 
+#: sha256 of `analyze --format table` per label (p, q, m, n): a
+#: Nobs-Wolfart noncongruence verdict; s = 3 with k0, alpha and
+#: lambda_flags; and a not-computed certificate
+ANALYZE_TABLE_DIGESTS = {
+    (5, 7, 1, 3): "95709bb3518c5d064d561432cba36ef9c8f6a307cc59f97a5a1d71e3cdd91445",
+    (7, 4, 5, 1): "ef30aa1e050d9749c2a0161db591a28a1b332685bf9eb3ec0c58f4a0156cbe35",
+    (23, 24, 1, 1): "d88d584dabd8d46f6c4daee4cec0c5d0e15b011fa925e009f718a5d9bfc6b1c0",
+}
+
+
+def test_cli_analyze_table_matches_the_pinned_digests(capsys):
+    import hashlib
+    for label, pinned in ANALYZE_TABLE_DIGESTS.items():
+        args = [str(x) for pair in zip(("--p", "--q", "--m", "--n"), label) for x in pair]
+        assert cli.main(["analyze"] + args + ["--format", "table"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == pinned, label
+
+
+def test_readme_quick_start_prints_what_its_comments_state(capsys):
+    # the one Python block of README.md runs as written, and each print
+    # shows the result its comment states
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as src:
+        blocks = re.findall(r"^```python\n(.*?)^```$", src.read(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    stated = [line.split("#", 1)[1].split()[0].rstrip(",")
+              for line in blocks[0].splitlines() if line.startswith("print(")]
+    assert stated == ["840", "noncongruence", "window-facts-only", "6"]
+    assert len(printed) == len(stated)
+    assert printed[1].startswith("CongruenceVerdict(status='noncongruence', "
+                                 "criterion='nw-dimension-bound'")
+    assert [printed[0], printed[2], printed[3]] == [stated[0], stated[2], stated[3]]
+
+
 def test_cli_qseries_matches_the_pinned_digests(capsys):
     # the benchmark's q-series expression on eta^w at order T, byte for
     # byte against the digests it pins; (24, 500) is its --full input

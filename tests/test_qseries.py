@@ -240,39 +240,47 @@ def test_operator_compose_leibniz():
 def test_identity_operator():
     ident = ModularOperator((ModularForm(F(0), QSeries(0, [1] + [0] * DEFAULT_ORDER)),))
     g4 = eisenstein(4)
-    out = apply_operator(ident, [g4.series], 4)[0]
-    assert (out - g4.series).is_zero()
+    out = apply_operator(ident, g4)
+    assert out.weight == 4 and (out.series - g4.series).is_zero()
     # 1 is a two-sided identity for composition
     der = ModularOperator.derivative()
-    probe = eta_power(2).series
+    probe = eta_power(2)
     for composed in (ident.compose(der), der.compose(ident)):
-        left = apply_operator(composed, [probe], F(1))[0]
-        right = apply_operator(der, [probe], F(1))[0]
-        assert (left - right).is_zero()
+        left = apply_operator(composed, probe)
+        right = apply_operator(der, probe)
+        assert left.weight == right.weight == 3
+        assert (left.series - right.series).is_zero()
 
 
 def test_double_derivative_associativity_instance():
     der = ModularOperator.derivative()
     g4op = ModularOperator((eisenstein(4),))
-    probe = eta_power(2).series
+    probe = eta_power(2)
     lhs = der.compose(der).compose(g4op)
     rhs = der.compose(der.compose(g4op))
-    out_l = apply_operator(lhs, [probe], F(1))[0]
-    out_r = apply_operator(rhs, [probe], F(1))[0]
-    assert (out_l - out_r).is_zero()
+    out_l = apply_operator(lhs, probe)
+    out_r = apply_operator(rhs, probe)
+    assert out_l.weight == out_r.weight == 9
+    assert (out_l.series - out_r.series).is_zero()
 
 
 def test_apply_weight_checks():
     der = ModularOperator.derivative()
-    out = apply_operator(der, [eisenstein(4).series], 4)[0]
-    assert (out - eisenstein(6).series * 14).is_zero()
+    out = apply_operator(der, eisenstein(4))
+    assert out.weight == 6
+    assert (out.series - eisenstein(6).series * 14).is_zero()
+    # the zero operator keeps the input weight and window
+    zero = apply_operator(ModularOperator(()), eta_power(3, 7))
+    assert zero.weight == F(3, 2) and zero.is_zero()
+    assert zero.series.offset == F(3, 24) and zero.series.order == 7
 
 
 def test_apply_on_vectors():
     g4 = eisenstein(4)
-    comps = [eta_power(8).series, eta_power(8).series * 3]
-    out = apply_operator(ModularOperator((g4,)), comps, 4)
-    assert (out[0] * 3 - out[1]).is_zero()
+    comps = [eta_power(8), eta_power(8) * 3]
+    out = [apply_operator(ModularOperator((g4,)), f) for f in comps]
+    assert [f.weight for f in out] == [8, 8]
+    assert (out[0].series * 3 - out[1].series).is_zero()
 
 
 def _operator_pool(order=24):
@@ -306,9 +314,10 @@ def test_operator_composition_associative_on_pool():
         lhs = a.compose(b).compose(c)
         rhs = a.compose(b.compose(c))
         assert len(lhs.coeffs) - 1 == sum(len(x.coeffs) - 1 for x in (a, b, c))
-        out_l = apply_operator(lhs, [probe.series], probe.weight)[0]
-        out_r = apply_operator(rhs, [probe.series], probe.weight)[0]
-        assert (out_l - out_r).is_zero()
+        out_l = apply_operator(lhs, probe)
+        out_r = apply_operator(rhs, probe)
+        assert out_l.weight == out_r.weight
+        assert (out_l.series - out_r.series).is_zero()
 
 
 def test_compose_apply_consistency_and_associativity():
@@ -316,16 +325,16 @@ def test_compose_apply_consistency_and_associativity():
     g4op = ModularOperator((eisenstein(4),))
     probe = eta_power(2)
     for a, b in [(der, g4op), (g4op, der), (der, der)]:
-        together = apply_operator(a.compose(b), [probe.series], probe.weight)[0]
-        stepwise = apply_operator(
-            a, apply_operator(b, [probe.series], probe.weight),
-            probe.weight + b.weight_raise)[0]
-        assert (together - stepwise).is_zero()
+        together = apply_operator(a.compose(b), probe)
+        stepwise = apply_operator(a, apply_operator(b, probe))
+        assert together.weight == stepwise.weight == probe.weight + a.weight_raise + b.weight_raise
+        assert (together.series - stepwise.series).is_zero()
     lhs = der.compose(g4op).compose(der)
     rhs = der.compose(g4op.compose(der))
-    applied_l = apply_operator(lhs, [probe.series], probe.weight)[0]
-    applied_r = apply_operator(rhs, [probe.series], probe.weight)[0]
-    assert (applied_l - applied_r).is_zero()
+    applied_l = apply_operator(lhs, probe)
+    applied_r = apply_operator(rhs, probe)
+    assert applied_l.weight == applied_r.weight
+    assert (applied_l.series - applied_r.series).is_zero()
 
 
 _small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -450,9 +459,9 @@ def test_selftest_operator_checks_compare_nonzero_series(monkeypatch):
     # (D, D) compose/apply checks into 0 == 0
     results = []
 
-    def record(op, components, weight):
-        out = apply_operator(op, components, weight)
-        results.extend(out)
+    def record(op, form):
+        out = apply_operator(op, form)
+        results.append(out.series)
         return out
 
     monkeypatch.setattr(qseries, "apply_operator", record)
@@ -467,14 +476,29 @@ def test_series_and_forms_take_scalars_on_the_right_only():
     g4 = eisenstein(4, 4)
     assert (s * 3).coeffs == (F(3), F(6))
     # a scalar stands on the right and, as in the constructor, is an int or
-    # a Fraction
+    # a Fraction; Python refuses the others, since no method takes them
     for bad in (lambda: 3 * s, lambda: 3 + s, lambda: sum([s, s]), lambda: 3 * g4,
-                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1),
-                lambda: modular_derivative(0.1, eta_power(1, 3).series),
-                lambda: modular_derivative(True, s),
-                lambda: apply_operator(ModularOperator.derivative(3), [s], 0.1),
-                lambda: apply_operator(ModularOperator.derivative(3), [s], False)):
+                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1)):
         with pytest.raises(TypeError):
+            bad()
+    # the package itself refuses a weight that is not an int or a Fraction,
+    # and an index, power or order that is not an int, naming the argument
+    der = ModularOperator.derivative(3)
+    for bad, name in ((lambda: modular_derivative(0.1, eta_power(1, 3).series), "weight"),
+                      (lambda: modular_derivative(True, s), "weight"),
+                      (lambda: apply_operator(der, ModularForm(0.1, s)), "weight"),
+                      (lambda: apply_operator(der, ModularForm(False, s)), "weight"),
+                      (lambda: eta_power(2, 2.5), "order"),
+                      (lambda: eta_power(2.5, 3), "eta power"),
+                      (lambda: eta_power(True, 3), "eta power"),
+                      (lambda: eta_power(2, True), "order"),
+                      (lambda: eisenstein(4, 1.5), "order"),
+                      (lambda: eisenstein(4.0, 3), "Eisenstein weight"),
+                      (lambda: eisenstein(4, True), "order"),
+                      (lambda: bernoulli(4.0), "Bernoulli index"),
+                      (lambda: ModularOperator.derivative(2.0), "order"),
+                      (lambda: ModularOperator.derivative(True), "order")):
+        with pytest.raises(NotAnInteger, match=name):
             bad()
 
 

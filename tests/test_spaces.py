@@ -129,7 +129,7 @@ def test_space_comparison_examples():
 
     cmp = space_comparison(rep_profile(validate_model(5, 2), ModuleLabel(3, 1)))
     assert cmp.status == GENERATOR_NOT_HOLOMORPHIC
-    assert cmp.lambda_flags == ("negative",)
+    assert cmp.lambda_flags == ["negative"]
     assert cmp.ratio_check is False
 
     # s = 8: only window facts

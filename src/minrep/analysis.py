@@ -71,6 +71,9 @@ def analyze(p, q, m, n):
     that is not acting yields a reduced record with acting = false.
     """
     model, c, h_shift, partner_strings = _model_table(p, q)
+    if model.p != p:
+        # validate_model stored V(q, p), and (m, n) of V(p, q) is (n, m) of V(q, p)
+        m, n = n, m
     label = canonical_label(model, m, n)
     record = {
         "p": model.p,

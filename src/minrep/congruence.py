@@ -50,6 +50,7 @@ from math import gcd, isqrt, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .core import _check_int
 from .errors import NotPrime, OutOfRange, OutOfScopeDimension
 # rep_dimension and rep_profile stay bound here so that call-site wrappers
 # of congruence.rep_dimension and congruence.rep_profile resolve
@@ -93,7 +94,9 @@ class Level(NamedTuple):
 
 
 def factorize(n):
-    """Prime factorization by trial division, as a tuple of (prime, exp)."""
+    """Prime factorization of the int n >= 1 by trial division, as a tuple
+    of (prime, exp)."""
+    _check_int("the number to factorize", n)
     if n < 1:
         raise OutOfRange("can only factorize n >= 1, got %s" % n)
     out = []
@@ -191,7 +194,10 @@ def _level(n):
 
 
 def nu(r, x):
-    """r-adic valuation of the nonzero integer x, for r >= 2."""
+    """r-adic valuation of the nonzero int x, for an int r >= 2."""
+    # the type test alone is inlined: selftest runs nu tens of thousands of times
+    if type(r) is not int or type(x) is not int:
+        _check_int("the base r and the number x of nu", r, x)
     if x == 0 or r < 2:
         raise OutOfRange("nu(r, x) needs r >= 2 and x != 0, got (%s, %s)" % (r, x))
     t = 0
@@ -203,7 +209,8 @@ def nu(r, x):
 
 def nw_min_dim(r, t):
     """Smallest dimension of a nontrivial irreducible representation of
-    SL2(Z/r^t Z) (Nobs-Wolfart)."""
+    SL2(Z/r^t Z) (Nobs-Wolfart), for ints r and t."""
+    _check_int("the prime r and the exponent t", r, t)
     if r < 2 or factorize(r) != ((r, 1),):
         raise NotPrime("%s is not prime" % r)
     if t < 1:

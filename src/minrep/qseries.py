@@ -291,7 +291,7 @@ def bernoulli(k):
 
 
 class ModularForm:
-    """A q-expansion with a declared weight.
+    """A q-expansion with a declared weight, an int or a Fraction.
 
     Multiplication adds weights; addition requires equal weights.  The
     implicit multiplier sends T to e(weight/12), the system of eta^{2k};
@@ -302,6 +302,7 @@ class ModularForm:
     __slots__ = ("weight", "series")
 
     def __init__(self, weight, series):
+        _check_exact("a weight", weight)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "series", series)
 
@@ -331,7 +332,7 @@ class ModularForm:
     def __mul__(self, other):
         if isinstance(other, ModularForm):
             return ModularForm(self.weight + other.weight, self.series * other.series)
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _EXACT:
             return ModularForm(self.weight, self.series * other)
         return NotImplemented
 
@@ -419,7 +420,7 @@ class ModularOperator:
         for i, phi in enumerate(cs):
             if phi is None:
                 continue
-            w = Fraction(phi.weight) + 2 * i
+            w = phi.weight + 2 * i
             if raise_to is None:
                 raise_to = w
             elif w != raise_to:
@@ -476,13 +477,12 @@ class ModularOperator:
 
 
 def apply_operator(op, form):
-    """Apply the operator to a form whose weight is an int or a Fraction.
+    """Apply the operator to a form.
 
     Returns the ModularForm of weight form.weight + op.weight_raise.  An
     operator with no nonzero slot gives the zero series on the input's
     window; the zero operator (weight_raise None) keeps the input weight.
     """
-    _check_exact("a weight", form.weight)
     acc = None
     df = form
     for i, phi in enumerate(op.coeffs):

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,6 +21,7 @@ import minrep
 from minrep import analysis, cli, errors, qseries, selftest
 from minrep.core import MAX_INDEX, list_modules, models
 from minrep.spaces import WINDOW_FACTS_ONLY
+from oracles import kac_weight
 
 
 def test_analyze_record_structure():
@@ -63,6 +65,18 @@ def test_analyze_model_table_checks_each_raw_pair():
     # both orders of a pair give one record, whichever entry was filled first
     assert analysis.analyze(4, 5, 1, 1) == analysis.analyze(5, 4, 1, 1)
     assert analysis.analyze(7, 2, 1, 1) == analysis.analyze(2, 7, 1, 1)
+    # an even p is stored second, and the label is transposed with it:
+    # (m, n) of V(p, q) is (n, m) of V(q, p), of the same weight h_{m,n}
+    assert analysis.analyze(4, 5, 1, 3)["h"] == "3/5"
+    assert analysis.analyze(2, 5, 1, 3)["h"] == "-1/5"
+    for p, q in itertools.permutations(range(2, 13), 2):
+        if math.gcd(p, q) != 1:
+            continue
+        for m, n in itertools.product(range(1, p), range(1, q)):
+            record = analysis.analyze(p, q, m, n)
+            assert record["h"] == analysis.frac_str(kac_weight(p, q, m, n))
+            if p % 2 != q % 2:
+                assert record == analysis.analyze(q, p, n, m)
 
 
 def test_analyze_non_acting_label():
@@ -158,12 +172,18 @@ def test_cli_usage_error(capsys):
     assert code == 64
     assert cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", "verdict=bogus"]) == 64
     assert "unknown verdict 'bogus'" in capsys.readouterr().err
-    # dim and level take digits only, and no more than int() converts,
-    # checked before any worker starts
-    for spec in ("dim=abc", "level=x1", "level=" + "7" * 5000, "dim=" + "1" * 5000):
-        assert cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", spec,
-                         "--jobs", "2"]) == 64
-        assert "bad filter" in capsys.readouterr().err
+    # dim and level take at most 640 digits, checked before any worker
+    # starts, whatever limit int() has (0 lifts it)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for spec in ("dim=abc", "level=x1", "level=" + "7" * 5000, "dim=" + "1" * 5000,
+                     "dim=" + "1" * 641):
+            assert cli.main(["scan", "--p-max", "7", "--q-max", "8", "--filter", spec,
+                             "--jobs", "2"]) == 64
+            assert "bad filter" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert cli.main(["scan", "--p-max", "9", "--q-max", "8", "--filter", "dim=007"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rows and all(r["s"] == 7 for r in rows)
@@ -735,20 +755,40 @@ def test_cli_qseries_parse_errors(capsys):
     capsys.readouterr()
     assert cli.main(["qseries", "--expr", "D", "--apply", "eta^0"]) == 65
     capsys.readouterr()
-    # powers over MAX_POWER and digit strings too long for int() are
-    # expression errors, rejected before any series is built
-    for expr, target in (("G4^%d" % (qseries.MAX_POWER + 1), "G4"),
-                         ("G4^60*G4^41", "G4"),
-                         ("D^%d" % (qseries.MAX_POWER + 1), "G4"),
-                         ("D", "eta^%d" % (qseries.MAX_POWER + 1)),
-                         ("1" * 5000 + "*G4", "G4"),
-                         ("1/" + "1" * 5000, "G4"),
-                         ("G4^" + "1" * 5000, "G4"),
-                         ("D", "eta^" + "1" * 5000),
-                         ("D", "G%d" % (qseries.MAX_POWER + 2)),
-                         ("D", "G" + "2" * 5000)):
-        assert cli.main(["qseries", "--expr", expr, "--apply", target, "--order", "10"]) == 65
-        assert capsys.readouterr().err.startswith("expression error: ")
+    # powers over MAX_POWER and digit runs over 640 digits are expression
+    # errors, rejected before any series is built, whatever limit int()
+    # has (0 lifts it)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for expr, target in (("G4^%d" % (qseries.MAX_POWER + 1), "G4"),
+                             ("G4^60*G4^41", "G4"),
+                             ("D^%d" % (qseries.MAX_POWER + 1), "G4"),
+                             ("D", "eta^%d" % (qseries.MAX_POWER + 1)),
+                             ("1" * 5000 + "*G4", "G4"),
+                             ("1" * 641 + "*G4", "G4"),
+                             ("1/" + "1" * 5000, "G4"),
+                             ("G4^" + "1" * 5000, "G4"),
+                             ("D", "eta^" + "1" * 5000),
+                             ("D", "G%d" % (qseries.MAX_POWER + 2)),
+                             ("D", "G" + "2" * 5000)):
+            assert cli.main(["qseries", "--expr", expr, "--apply", target,
+                             "--order", "10"]) == 65
+            assert capsys.readouterr().err.startswith("expression error: ")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # a run of 640 digits is read even under the lowest limit int() takes:
+    # a power that long is refused by the MAX_POWER check, and a coefficient
+    # that long is accepted
+    try:
+        sys.set_int_max_str_digits(640)
+        assert cli.main(["qseries", "--expr", "G4^" + "1" * 640, "--apply", "G4"]) == 65
+        assert "is over %d" % qseries.MAX_POWER in capsys.readouterr().err
+        assert cli.main(["qseries", "--expr", "1" * 640 + "/" + "7" * 640 + "*G4",
+                         "--apply", "G4", "--order", "3"]) == 0
+        capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(limit)
     top = qseries.MAX_POWER
     assert cli.main(["qseries", "--expr", "G4^%d*G6^%d*D^%d" % (top, top, top),
                      "--apply", "eta^%d" % top, "--order", "3"]) == 0

@@ -32,7 +32,7 @@ from minrep.repdata import SUBSET_CAP, prime_case_closed_forms
 from minrep.selftest import suite_lemmas
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
                            low_dim_case, space_comparison)
-from minrep.errors import (NonCanonicalLabel, NotPrime, OutOfRange,
+from minrep.errors import (NonCanonicalLabel, NotAnInteger, NotPrime, OutOfRange,
                            OutOfScopeDimension)
 
 from oracles import fraction_level, valuation_lemma
@@ -144,6 +144,9 @@ def test_nw_min_dim_table():
             nw_min_dim(r, 1)
     with pytest.raises(NotPrime):
         nw_min_dim(5, 0)
+    for r, t in ((5, 2.5), (5, True), (7.0, 1), (True, 1), (5, "2")):
+        with pytest.raises(NotAnInteger, match="prime r and the exponent t"):
+            nw_min_dim(r, t)
 
 
 def test_level_caches_are_bounded_and_agree_with_factorize():
@@ -333,6 +336,12 @@ def test_nu_and_factorize_reject_bad_input_under_python_O():
     for call in (lambda: nu(5, 0), lambda: nu(1, 5), lambda: factorize(0),
                  lambda: _pow_series(series, -1)):
         with pytest.raises(OutOfRange):
+            call()
+    # a float or a bool is refused by type, naming the arguments
+    for call, name in ((lambda: nu(2.5, 5), "nu"), (lambda: nu(2, 8.0), "nu"),
+                       (lambda: nu(True, 4), "nu"), (lambda: factorize(True), "factorize"),
+                       (lambda: factorize(12.0), "factorize")):
+        with pytest.raises(NotAnInteger, match=name):
             call()
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = textwrap.dedent("""

@@ -478,14 +478,20 @@ def test_series_and_forms_take_scalars_on_the_right_only():
     # a scalar stands on the right and, as in the constructor, is an int or
     # a Fraction; Python refuses the others, since no method takes them
     for bad in (lambda: 3 * s, lambda: 3 + s, lambda: sum([s, s]), lambda: 3 * g4,
-                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1)):
+                lambda: s * 0.5, lambda: s * True, lambda: s + True, lambda: s + Decimal(1),
+                lambda: g4 * 0.5, lambda: g4 * True):
         with pytest.raises(TypeError):
             bad()
     # the package itself refuses a weight that is not an int or a Fraction,
-    # and an index, power or order that is not an int, naming the argument
+    # where a form is made, and an index, power or order that is not an
+    # int, naming the argument
     der = ModularOperator.derivative(3)
     for bad, name in ((lambda: modular_derivative(0.1, eta_power(1, 3).series), "weight"),
                       (lambda: modular_derivative(True, s), "weight"),
+                      (lambda: ModularForm(0.1, s), "weight"),
+                      (lambda: ModularForm("4", s), "weight"),
+                      (lambda: ModularForm(True, s), "weight"),
+                      (lambda: ModularOperator((ModularForm(0.1, s),)), "weight"),
                       (lambda: apply_operator(der, ModularForm(0.1, s)), "weight"),
                       (lambda: apply_operator(der, ModularForm(False, s)), "weight"),
                       (lambda: eta_power(2, 2.5), "order"),

@@ -9,7 +9,8 @@ workers (Pool), which send back rendered text over pipes; where os.fork
 is missing it runs serially.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error, 64 usage
-error (scan bounds and --grid above core.MAX_INDEX included), 65
+error (scan bounds and --grid above core.MAX_INDEX included, and a
+numeric option that is not a sign and 1 to 640 ASCII digits), 65
 expression parse error, 70 internal error (an unexpected exception; its
 traceback goes to stderr), 141 broken pipe (stdout was closed before all
 output was written: 128 + SIGPIPE, with no traceback and no worker left
@@ -54,25 +55,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text):
+    """The type of every numeric option: an int written as [+-]? and at
+    most 640 ASCII digits, so that int() converts it under any
+    PYTHONINTMAXSTRDIGITS setting."""
+    if re.fullmatch(r"[+-]?[0-9]" + _DIGITS, text) is None:
+        raise argparse.ArgumentTypeError("expected an integer of at most 640 digits, got %.20r"
+                                         % text)
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="minrep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="analyze a single Kac label")
-    pa.add_argument("--p", type=int, required=True)
-    pa.add_argument("--q", type=int, required=True)
-    pa.add_argument("--m", type=int, required=True)
-    pa.add_argument("--n", type=int, required=True)
+    for name in ("--p", "--q", "--m", "--n"):
+        pa.add_argument(name, type=_integer, required=True)
     pa.add_argument("--format", choices=["json", "table"], default="json")
     pa.set_defaults(run=cmd_analyze)
 
     ps = sub.add_parser("scan", help="analyze every canonical label on a grid")
-    ps.add_argument("--p-max", type=int, required=True)
-    ps.add_argument("--q-max", type=int, required=True)
+    ps.add_argument("--p-max", type=_integer, required=True)
+    ps.add_argument("--q-max", type=_integer, required=True)
     ps.add_argument("--filter", default=None,
                     help="verdict=STATUS, dim=N or level=N")
     ps.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=_integer, default=1)
     ps.set_defaults(run=cmd_scan)
 
     pq = sub.add_parser("qseries", help="apply an operator expression to a builtin series")
@@ -81,13 +90,13 @@ def build_parser():
                          "by the form after differentiating n times)")
     pq.add_argument("--apply", required=True, dest="target",
                     help="builtin series: eta^w or G<even k>")
-    pq.add_argument("--order", type=int, default=None)
+    pq.add_argument("--order", type=_integer, default=None)
     pq.set_defaults(run=cmd_qseries)
 
     pt = sub.add_parser("selftest", help="run the verification sweeps")
     pt.add_argument("--suite", choices=["all", "monic", "lemmas", "ratios", "qseries"],
                     default="all")
-    pt.add_argument("--grid", type=int, default=None)
+    pt.add_argument("--grid", type=_integer, default=None)
     pt.set_defaults(run=cmd_selftest)
     return parser
 
@@ -142,11 +151,11 @@ def _parse_filter(spec):
         return None
     match = re.fullmatch(r"verdict=([a-z]+)|(dim|level)=([0-9]{0})".format(_DIGITS), spec)
     if match is None:
-        raise _UsageError("bad filter %r; expected verdict=..., dim=N or level=N" % spec)
+        raise _UsageError("bad filter %.20r; expected verdict=..., dim=N or level=N" % spec)
     status, key, number = match.groups()
     if key is None:
         if status not in ("congruence", "noncongruence", "unknown"):
-            raise _UsageError("unknown verdict %r" % status)
+            raise _UsageError("unknown verdict %.20r" % status)
         return "verdict", status
     return ("s" if key == "dim" else "level"), int(number)
 
@@ -329,15 +338,15 @@ def parse_operator(expr, order):
         raise ExpressionError("empty expression")
     terms = re.findall(r"[+-]?[^+-]+", text)
     if "".join(terms) != text:
-        raise ExpressionError("cannot parse %r" % expr)
-    total = qseries.ModularOperator(())
+        raise ExpressionError("cannot parse %.20r" % expr)
+    total = qseries.ModularOperator({})
     for term in terms:
         coeff = Fraction(-1 if term[0] == "-" else 1)
         powers = dict.fromkeys(("G4", "G6", "D"), 0)
         for factor in term.lstrip("+-").split("*"):
             match = _FACTOR_RE.fullmatch(factor)
             if match is None:
-                raise ExpressionError("bad factor %r" % factor)
+                raise ExpressionError("bad factor %.20r" % factor)
             number, name, power = match.groups()
             if number is not None:
                 try:
@@ -350,11 +359,9 @@ def parse_operator(expr, order):
             raise ExpressionError("a power of G4, G6 or D is over %d" % qseries.MAX_POWER)
         form = qseries.ModularForm(Fraction(0), qseries.QSeries(0, [coeff] + [0] * order))
         for k, name in ((4, "G4"), (6, "G6")):
-            power = powers[name]
-            if power:
-                g = qseries.eisenstein(k, order)
-                form *= qseries.ModularForm(g.weight * power, qseries._pow_series(g.series, power))
-        total = total + qseries.ModularOperator((None,) * powers["D"] + (form,))
+            if powers[name]:
+                form *= qseries.eisenstein(k, order) ** powers[name]
+        total = total + qseries.ModularOperator({powers["D"]: form})
     return total
 
 
@@ -365,7 +372,7 @@ def parse_builtin_series(name, order):
     from . import qseries
     match = _BUILTIN_RE.fullmatch(name.replace(" ", ""))
     if match is None:
-        raise ExpressionError("unknown builtin series %r" % name)
+        raise ExpressionError("unknown builtin series %.20r" % name)
     eta_pow, g_weight = match.groups()
     if g_weight is not None:
         k = int(g_weight)

@@ -50,9 +50,9 @@ the operator raises any input weight by w.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb, factorial, floor, gcd, lcm
 from operator import add
+from types import MappingProxyType
 
 from .core import _EXACT, _check_exact, _check_int
 from .errors import (ExponentMismatch, InhomogeneousOperator, OddWeight, OutOfRange,
@@ -64,6 +64,11 @@ DEFAULT_ORDER = 40
 MAX_ORDER = 10_000
 #: largest G4, G6 or D exponent and eta power the qseries command accepts
 MAX_POWER = 100
+#: entries kept by each per-order cache (Bernoulli lists, Eisenstein series,
+#: Euler coefficients), so that a long-lived process cannot grow them without
+#: end: a command uses at most 4 keys of each (G2, G4, G6 and the --apply
+#: target G_k, at one order), and selftest 3, 3 and 1
+_CACHED_ORDERS = 8
 
 class QSeries:
     """Truncated q-expansion q^offset * (nums[0] + nums[1] q + ...) / den,
@@ -272,7 +277,7 @@ def _pow_series(series, w):
     return half * series if w & 1 else half
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_ORDERS)
 def _bernoulli_list(kmax):
     """B_0..B_kmax via the defining recurrence sum C(m+1, j) B_j = 0."""
     values = [Fraction(1)]
@@ -336,6 +341,10 @@ class ModularForm:
             return ModularForm(self.weight, self.series * other)
         return NotImplemented
 
+    def __pow__(self, w):
+        _check_int("a form's power", w)
+        return ModularForm(self.weight * w, _pow_series(self.series, w))
+
     def is_zero(self):
         return self.series.is_zero()
 
@@ -344,7 +353,7 @@ class ModularForm:
         return ModularForm(self.weight + 2, modular_derivative(self.weight, self.series))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_ORDERS)
 def _eisenstein_series(k, order):
     """The QSeries of G_k through q^order, for even k >= 2."""
     sigma = [0] * (order + 1)
@@ -369,7 +378,7 @@ def eisenstein(k, order=DEFAULT_ORDER):
     return ModularForm(Fraction(k), _eisenstein_series(k, order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_ORDERS)
 def _euler_coeffs(order):
     """prod (1 - q^n) by the pentagonal number theorem, as integers."""
     out = [0] * (order + 1)
@@ -391,8 +400,7 @@ def eta_power(w, order=DEFAULT_ORDER):
     _check_int("the truncation order", order)
     if w < 1 or order < 0:
         raise OutOfRange("eta power needs w >= 1 and order >= 0, got %s and %s" % (w, order))
-    powered = _pow_series(_series(Fraction(0), _euler_coeffs(order), 1), w)
-    return ModularForm(Fraction(w, 2), _series(Fraction(w, 24), powered.nums, powered.den))
+    return ModularForm(Fraction(1, 2), _series(Fraction(1, 24), _euler_coeffs(order), 1)) ** w
 
 
 def modular_derivative(k, f):
@@ -405,29 +413,30 @@ def modular_derivative(k, f):
 class ModularOperator:
     """phi_0 + phi_1 D + ... + phi_n D^n with coefficients in M.
 
-    The operator must be weight homogeneous: each nonempty slot i carries
-    weight w - 2i for one fixed w (the operator's weight raise), since D
-    raises weight by two.
+    coeffs is a read-only mapping from each degree i >= 0 that has a term
+    to its coefficient phi_i; a degree without a term has no entry.  The
+    operator must be weight homogeneous: each phi_i carries weight w - 2i
+    for one fixed w (the operator's weight raise), since D raises weight
+    by two.
     """
 
     __slots__ = ("coeffs", "weight_raise")
 
     def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] is None:
-            cs.pop()
+        coeffs = dict(coeffs)
+        _check_int("an operator degree", *coeffs)
+        if min(coeffs, default=0) < 0:
+            raise OutOfRange("operator degrees must be >= 0, got %s" % min(coeffs))
         raise_to = None
-        for i, phi in enumerate(cs):
-            if phi is None:
-                continue
+        for i, phi in sorted(coeffs.items()):
             w = phi.weight + 2 * i
             if raise_to is None:
                 raise_to = w
             elif w != raise_to:
                 raise InhomogeneousOperator(
-                    "slot %s has weight %s, expected %s" % (i, phi.weight, raise_to - 2 * i)
+                    "degree %s has weight %s, expected %s" % (i, phi.weight, raise_to - 2 * i)
                 )
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
         # how much the operator raises input weight; None for the zero map
         object.__setattr__(self, "weight_raise", raise_to)
 
@@ -442,7 +451,7 @@ class ModularOperator:
         if order < 0:
             raise OutOfRange("truncation order must be >= 0, got %s" % order)
         one = ModularForm(Fraction(0), QSeries(0, (Fraction(1),) + (Fraction(0),) * order))
-        return cls((None, one))
+        return cls({1: one})
 
     def __add__(self, other):
         if not isinstance(other, ModularOperator):
@@ -452,25 +461,21 @@ class ModularOperator:
             raise InhomogeneousOperator(
                 "cannot add operators raising weight by %s and %s" % (ra, rb)
             )
-        # equal raises give slot i the weight raise - 2i on both sides
-        return ModularOperator(
-            y if x is None else x if y is None else x + y
-            for x, y in zip_longest(self.coeffs, other.coeffs)
-        )
+        # equal raises give degree i the weight raise - 2i on both sides
+        coeffs = dict(self.coeffs)
+        for i, psi in other.coeffs.items():
+            coeffs[i] = coeffs[i] + psi if i in coeffs else psi
+        return ModularOperator(coeffs)
 
     def compose(self, other):
         """self after other, via D phi = phi D + (D_wt phi)."""
-        total = ModularOperator(())
-        for i, phi in enumerate(self.coeffs):
-            if phi is None:
-                continue
-            for j, psi in enumerate(other.coeffs):
-                if psi is None:
-                    continue
+        total = ModularOperator({})
+        for i, phi in self.coeffs.items():
+            for j, psi in other.coeffs.items():
                 chain = psi
                 for t in range(i + 1):
                     term = phi * chain * comb(i, t)
-                    total = total + ModularOperator((None,) * (i - t + j) + (term,))
+                    total = total + ModularOperator({i - t + j: term})
                     if t < i:
                         chain = chain.derivative()
         return total
@@ -480,16 +485,16 @@ def apply_operator(op, form):
     """Apply the operator to a form.
 
     Returns the ModularForm of weight form.weight + op.weight_raise.  An
-    operator with no nonzero slot gives the zero series on the input's
+    operator with no nonzero term gives the zero series on the input's
     window; the zero operator (weight_raise None) keeps the input weight.
     """
     acc = None
     df = form
-    for i, phi in enumerate(op.coeffs):
+    for i in range(max(op.coeffs, default=-1) + 1):
         if i:
             df = df.derivative()
-        if phi is not None and not phi.is_zero():
-            term = phi.series * df.series
+        if i in op.coeffs and not op.coeffs[i].is_zero():
+            term = op.coeffs[i].series * df.series
             acc = term if acc is None else acc + term
     if acc is None:
         acc = form.series * 0

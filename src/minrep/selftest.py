@@ -143,7 +143,7 @@ def suite_qseries(order=qseries.DEFAULT_ORDER):
     # operator ring: Leibniz composition matches application order, on a
     # probe that D does not kill (D eta^w = 0 would make two pairs 0 == 0)
     der = qseries.ModularOperator.derivative(order)
-    mult_g4 = qseries.ModularOperator((g4,))
+    mult_g4 = qseries.ModularOperator({0: g4})
     for a, b in [(der, mult_g4), (mult_g4, der), (der, der)]:
         left = qseries.apply_operator(a.compose(b), g4)
         right = qseries.apply_operator(a, qseries.apply_operator(b, g4))
@@ -159,12 +159,12 @@ def suite_qseries(order=qseries.DEFAULT_ORDER):
 
 
 def _operators_agree(a, b):
-    """a == b slot by slot: every slot of a - b is empty or zero.  Operators
+    """a == b degree by degree: every entry of a - b is zero.  Operators
     with different raises disagree; __add__ would reject their sum."""
-    if a.weight_raise != b.weight_raise or len(a.coeffs) != len(b.coeffs):
+    if a.weight_raise != b.weight_raise:
         return False
-    diff = a + qseries.ModularOperator(None if y is None else y * -1 for y in b.coeffs)
-    return all(x is None or x.is_zero() for x in diff.coeffs)
+    diff = a + qseries.ModularOperator({i: y * -1 for i, y in b.coeffs.items()})
+    return all(x.is_zero() for x in diff.coeffs.values())
 
 
 _SUITES = {

@@ -189,6 +189,59 @@ def test_cli_usage_error(capsys):
     assert rows and all(r["s"] == 7 for r in rows)
 
 
+def test_numeric_options_read_the_same_under_any_int_limit():
+    # every numeric option takes a sign and at most 640 ASCII digits, so a
+    # value has one exit code whatever PYTHONINTMAXSTRDIGITS says (unset,
+    # 0 for no limit, or 640, the lowest limit it takes)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
+    nines = "9" * 5000
+    commands = (["scan", "--p-max", "5", "--q-max", "4", "--jobs", nines],
+                ["analyze", "--p", nines, "--q", "4", "--m", "1", "--n", "1"],
+                ["selftest", "--grid", "-" + nines])
+    for setting in (None, "0", "640"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if setting is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = setting
+        for args in commands:
+            run = subprocess.run([sys.executable, "-m", "minrep.cli", *args], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == 64, (setting, args[0])
+            assert "expected an integer" in run.stderr and len(run.stderr) < 200
+
+
+def test_numeric_option_grammar(capsys):
+    # int() reads underscores, padding and non-ASCII digits; the options
+    # do not
+    analyze = ["analyze", "--q", "4", "--m", "1", "--n", "1", "--p"]
+    for text in ("1_0", " 5", "5 ", "\u0665", "+", "", "5.0", "0x5"):
+        assert cli.main(analyze + [text]) == 64, text
+        assert "expected an integer" in capsys.readouterr().err
+    for text in ("5", "+5", "005"):
+        assert cli.main(analyze + [text]) == 0, text
+        assert json.loads(capsys.readouterr().out)["p"] == 5
+    # 640 digits pass the grammar and meet the command's own range check
+    assert cli.main(["selftest", "--suite", "monic", "--grid", "-" + "9" * 640]) == 1
+    assert "no checks ran" in capsys.readouterr().out
+    assert cli.main(["selftest", "--grid", "9" * 640]) == 64
+    assert "--grid must be at most" in capsys.readouterr().err
+
+
+def test_untrusted_text_is_echoed_at_most_20_characters(capsys):
+    scan = ["scan", "--p-max", "7", "--q-max", "8", "--filter"]
+    for argv, code, message in (
+            (["qseries", "--expr", "G4++" + "G6" * 2498, "--apply", "G4"], 65, "cannot parse"),
+            (["qseries", "--expr", "1" * 4997 + "*G4", "--apply", "G4"], 65, "bad factor"),
+            (["qseries", "--expr", "D", "--apply", "eta^" + "1" * 4995 + "x"], 65,
+             "unknown builtin series"),
+            (scan + ["dim=" + "1" * 4996], 64, "bad filter"),
+            (scan + ["verdict=" + "a" * 4992], 64, "unknown verdict")):
+        assert max(map(len, argv)) == 5000
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.encode()) < 200, message
+
+
 def test_cli_scan_includes_benchmarks(capsys):
     code = cli.main(["scan", "--p-max", "7", "--q-max", "8"])
     out = capsys.readouterr().out

@@ -203,33 +203,67 @@ def test_operator_homogeneity():
     g4 = eisenstein(4)
     g6 = eisenstein(6)
     # G6 + G4 D is homogeneous (raise 6); G4 + G4 D is not
-    op = ModularOperator((g6, g4))
+    op = ModularOperator({0: g6, 1: g4})
     assert op.weight_raise == 6
-    zero = ModularOperator(())
+    zero = ModularOperator({})
     assert zero.weight_raise is None
     with pytest.raises(InhomogeneousOperator):
-        ModularOperator((g4, g4))
+        ModularOperator({0: g4, 1: g4})
     with pytest.raises(InhomogeneousOperator):
-        ModularOperator((g4,)) + ModularOperator((g6,))
-    # disjoint slots with different raises (4 and 6) are still rejected
+        ModularOperator({0: g4}) + ModularOperator({0: g6})
+    # disjoint degrees with different raises (4 and 6) are still rejected
     with pytest.raises(InhomogeneousOperator):
-        ModularOperator((g4,)) + ModularOperator((None, g4))
+        ModularOperator({0: g4}) + ModularOperator({1: g4})
+    # the error names the lowest degree that is off, whatever the order
+    # of the mapping
+    with pytest.raises(InhomogeneousOperator, match="degree 2 "):
+        ModularOperator({3: g6, 0: g6, 1: g4, 2: g6})
     # the zero map adds as an identity on either side, and composes to
     # the zero map on either side
     for total in (zero + op, op + zero):
         assert total.coeffs == op.coeffs
         assert total.weight_raise == op.weight_raise
     for composed in (zero.compose(op), op.compose(zero)):
-        assert composed.coeffs == ()
+        assert composed.coeffs == {}
         assert composed.weight_raise is None
-    # trailing empty slots are dropped
-    assert ModularOperator((g4, None)).coeffs == (g4,)
+
+
+def test_operator_degrees_are_checked_and_read_only():
+    g4 = eisenstein(4)
+    with pytest.raises(OutOfRange):
+        ModularOperator({-1: g4})
+    for degree in (1.0, True):
+        with pytest.raises(NotAnInteger, match="operator degree"):
+            ModularOperator({degree: g4})
+    op = ModularOperator({1: g4})
+    with pytest.raises(TypeError):
+        op.coeffs[0] = g4
+    # the operator keeps its own copy of the mapping it was given
+    given = {1: g4}
+    op = ModularOperator(given)
+    given[0] = g4
+    assert dict(op.coeffs) == {1: g4}
+
+
+def test_sparse_operator_applies_degree_by_degree():
+    # D^3 + G4 D + G6 has no D^2 term; the mapping is given out of order
+    order = 30
+    one = ModularForm(F(0), QSeries(0, [1] + [0] * order))
+    g4, g6 = eisenstein(4, order), eisenstein(6, order)
+    f = eta_power(2, order)
+    op = ModularOperator({3: one, 1: g4, 0: g6})
+    assert op.weight_raise == 6
+    d1 = f.derivative()
+    d3 = d1.derivative().derivative()
+    want = d3 + g4 * d1 + g6 * f
+    got = apply_operator(op, f)
+    assert got == want and got.weight == 7
 
 
 def test_operator_compose_leibniz():
     # D after G4 equals G4 D + (D_4 G4) = G4 D + 14 G6
     der = ModularOperator.derivative()
-    g4op = ModularOperator((eisenstein(4),))
+    g4op = ModularOperator({0: eisenstein(4)})
     composed = der.compose(g4op)
     g6 = eisenstein(6)
     assert len(composed.coeffs) == 2
@@ -238,7 +272,7 @@ def test_operator_compose_leibniz():
 
 
 def test_identity_operator():
-    ident = ModularOperator((ModularForm(F(0), QSeries(0, [1] + [0] * DEFAULT_ORDER)),))
+    ident = ModularOperator({0: ModularForm(F(0), QSeries(0, [1] + [0] * DEFAULT_ORDER))})
     g4 = eisenstein(4)
     out = apply_operator(ident, g4)
     assert out.weight == 4 and (out.series - g4.series).is_zero()
@@ -254,7 +288,7 @@ def test_identity_operator():
 
 def test_double_derivative_associativity_instance():
     der = ModularOperator.derivative()
-    g4op = ModularOperator((eisenstein(4),))
+    g4op = ModularOperator({0: eisenstein(4)})
     probe = eta_power(2)
     lhs = der.compose(der).compose(g4op)
     rhs = der.compose(der.compose(g4op))
@@ -270,7 +304,7 @@ def test_apply_weight_checks():
     assert out.weight == 6
     assert (out.series - eisenstein(6).series * 14).is_zero()
     # the zero operator keeps the input weight and window
-    zero = apply_operator(ModularOperator(()), eta_power(3, 7))
+    zero = apply_operator(ModularOperator({}), eta_power(3, 7))
     assert zero.weight == F(3, 2) and zero.is_zero()
     assert zero.series.offset == F(3, 24) and zero.series.order == 7
 
@@ -278,7 +312,7 @@ def test_apply_weight_checks():
 def test_apply_on_vectors():
     g4 = eisenstein(4)
     comps = [eta_power(8), eta_power(8) * 3]
-    out = [apply_operator(ModularOperator((g4,)), f) for f in comps]
+    out = [apply_operator(ModularOperator({0: g4}), f) for f in comps]
     assert [f.weight for f in out] == [8, 8]
     assert (out[0].series * 3 - out[1].series).is_zero()
 
@@ -290,17 +324,14 @@ def _operator_pool(order=24):
     g4sq = g4 * g4
     by_weight = {0: one, 4: g4, 6: g6, 8: g4sq}
     ops = []
-    # all homogeneous operators sum phi_i D^i, degree <= 3, with every slot
+    # all homogeneous operators sum phi_i D^i, degree <= 3, with every
     # coefficient drawn from {1, G4, G6, G4^2} at the weight the raise forces
     for raise_to in (0, 4, 6, 8, 10, 12):
         for degree in range(4):
-            slots = []
-            for i in range(degree + 1):
-                want = raise_to - 2 * i
-                slots.append(by_weight.get(want))
-            if slots[-1] is None:
-                continue
-            ops.append(ModularOperator(slots))
+            coeffs = {i: by_weight[raise_to - 2 * i] for i in range(degree + 1)
+                      if raise_to - 2 * i in by_weight}
+            if degree in coeffs:
+                ops.append(ModularOperator(coeffs))
     return ops
 
 
@@ -313,7 +344,7 @@ def test_operator_composition_associative_on_pool():
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         lhs = a.compose(b).compose(c)
         rhs = a.compose(b.compose(c))
-        assert len(lhs.coeffs) - 1 == sum(len(x.coeffs) - 1 for x in (a, b, c))
+        assert max(lhs.coeffs) == sum(max(x.coeffs) for x in (a, b, c))
         out_l = apply_operator(lhs, probe)
         out_r = apply_operator(rhs, probe)
         assert out_l.weight == out_r.weight
@@ -322,7 +353,7 @@ def test_operator_composition_associative_on_pool():
 
 def test_compose_apply_consistency_and_associativity():
     der = ModularOperator.derivative()
-    g4op = ModularOperator((eisenstein(4),))
+    g4op = ModularOperator({0: eisenstein(4)})
     probe = eta_power(2)
     for a, b in [(der, g4op), (g4op, der), (der, der)]:
         together = apply_operator(a.compose(b), probe)
@@ -491,7 +522,7 @@ def test_series_and_forms_take_scalars_on_the_right_only():
                       (lambda: ModularForm(0.1, s), "weight"),
                       (lambda: ModularForm("4", s), "weight"),
                       (lambda: ModularForm(True, s), "weight"),
-                      (lambda: ModularOperator((ModularForm(0.1, s),)), "weight"),
+                      (lambda: ModularOperator({0: ModularForm(0.1, s)}), "weight"),
                       (lambda: apply_operator(der, ModularForm(0.1, s)), "weight"),
                       (lambda: apply_operator(der, ModularForm(False, s)), "weight"),
                       (lambda: eta_power(2, 2.5), "order"),
@@ -511,22 +542,49 @@ def test_series_and_forms_take_scalars_on_the_right_only():
 def test_operators_agree_truth_table():
     agree = selftest._operators_agree
     g4, g6 = eisenstein(4), eisenstein(6)
+    zero4 = ModularForm(F(4), QSeries(0, (0,) * 5))
     zero6 = ModularForm(F(6), QSeries(0, (0,) * 5))
     g4_as_weight_6 = ModularForm(F(6), g4.series)
     cases = [
-        # an empty slot agrees with a zero form in the same slot
-        (ModularOperator((None, g4)), ModularOperator((zero6, g4)), True),
-        (ModularOperator((zero6, g4)), ModularOperator((None, g4)), True),
-        (ModularOperator((g6, g4)), ModularOperator((g6, g4)), True),
-        (ModularOperator(()), ModularOperator(()), True),
-        # one differing slot
-        (ModularOperator((g6, g4)), ModularOperator((g6 * 2, g4)), False),
-        (ModularOperator((g6, g4)), ModularOperator((None, g4)), False),
-        # different lengths
-        (ModularOperator((g6,)), ModularOperator((g6, g4)), False),
+        # a degree without a term agrees with a zero form in that degree,
+        # also above the top nonzero degree
+        (ModularOperator({1: g4}), ModularOperator({0: zero6, 1: g4}), True),
+        (ModularOperator({0: g6}), ModularOperator({0: g6, 1: zero4}), True),
+        (ModularOperator({0: g6, 1: g4}), ModularOperator({0: g6, 1: g4}), True),
+        (ModularOperator({}), ModularOperator({}), True),
+        # one differing degree
+        (ModularOperator({0: g6, 1: g4}), ModularOperator({0: g6 * 2, 1: g4}), False),
+        (ModularOperator({0: g6, 1: g4}), ModularOperator({1: g4}), False),
+        (ModularOperator({0: g6}), ModularOperator({0: g6, 1: g4}), False),
         # different raises, although the series are equal
-        (ModularOperator((g4,)), ModularOperator((g4_as_weight_6,)), False),
+        (ModularOperator({0: g4}), ModularOperator({0: g4_as_weight_6}), False),
     ]
     for a, b, want in cases:
         assert agree(a, b) is want
         assert agree(b, a) is want
+
+
+def test_form_power():
+    g4 = eisenstein(4, 12)
+    cube = g4 ** 3
+    assert cube == g4 * g4 * g4 and cube.weight == 12
+    one = g4 ** 0
+    assert one == ModularForm(F(0), QSeries(0, [1] + [0] * 12)) and one.weight == 0
+    with pytest.raises(OutOfRange):
+        g4 ** -1
+    for bad in (1.5, True):
+        with pytest.raises(NotAnInteger, match="power"):
+            g4 ** bad
+
+
+def test_per_order_caches_are_bounded():
+    # the q-series caches are keyed by truncation order (or Bernoulli
+    # index), so a process that visits many orders keeps only a few
+    caches = (qseries._bernoulli_list, qseries._eisenstein_series, qseries._euler_coeffs)
+    for order in range(1, 101):
+        eisenstein(4, order)
+        eta_power(1, order)
+        qseries._bernoulli_list(order)
+        for cache in caches:
+            assert cache.cache_info().currsize <= qseries._CACHED_ORDERS
+    assert all(cache.cache_info().maxsize == qseries._CACHED_ORDERS for cache in caches)

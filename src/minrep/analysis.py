@@ -51,11 +51,19 @@ def ratio_str(num, den):
 def _model_table(p, q):
     """What a record takes from the model alone, keyed by the raw (p, q).
 
-    Returns (model, c, h_shift, partners): validate_model(p, q), the
-    rendered central charge, the integer h_shift = 2pq - 12(p - q)^2 with
-    h_j = (y_j + h_shift) / 48pq, and a dict from a partner (m_j, n_j) to
-    its rendered (h_j, lambda_j).  analyze fills the dict with the
-    partners it visits; the model's whole box can hold billions of
+    Returns (model, c, h_shift, rows): validate_model(p, q), the rendered
+    central charge, the integer h_shift = 2pq - 12(p - q)^2 with
+    h_j = (y_j + h_shift) / 48pq, and a dict from a partner row m_j to the
+    list [c0, hs, lams, texts].  hs and lams are the rendered h_j and
+    lambda_j of the partners (m_j, n_j) for n_j = c0 .. q - c0, and texts
+    their JSON objects {"m": m_j, "n": n_j, "h": h_j}, None until a JSON
+    line first needs them, so that CSV never builds them.
+
+    _record builds a row from the profile of the label that first needs
+    it, and builds it again only for a label whose box is wider (a
+    smaller c0); so a row never spans more than a partner box that
+    rep_profile has accepted, and the rows of a model hold at most
+    (p - 1)(q - 1)/2 cells.  The model's whole box can hold billions of
     points, so it is never listed up front.  The key is typed, so that
     5.0 never hits the entry of 5; a pair that fails validation raises
     and is not kept.
@@ -64,13 +72,16 @@ def _model_table(p, q):
     return model, frac_str(central_charge(model)), 2 * p * q - 12 * (p - q) ** 2, {}
 
 
-def analyze(p, q, m, n):
-    """Full analysis record for the canonical label of (m, n) in V(p, q).
+def _record(p, q, m, n):
+    """The record of analyze, with "partners": [] in its key position, and
+    the label's cuts of its model's partner rows.
 
-    Raises the usual validation errors on bad input; an in-range label
-    that is not acting yields a reduced record with acting = false.
+    A cut is (m_j, row, lo, hi): the label's partners in row m_j are
+    n_j = row[0] + lo .. row[0] + hi - 1, rendered in row[1][lo:hi] and,
+    once built, row[3][lo:hi].  The cuts follow the lexicographic partner
+    order; a record that is not acting has none.
     """
-    model, c, h_shift, partner_strings = _model_table(p, q)
+    model, c, h_shift, rows = _model_table(p, q)
     if model.p != p:
         # validate_model stored V(q, p), and (m, n) of V(p, q) is (n, m) of V(q, p)
         m, n = n, m
@@ -85,7 +96,7 @@ def analyze(p, q, m, n):
         "h": frac_str(conformal_weight(model, label.m, label.n)),
     }
     if not label.is_acting:
-        return record
+        return record, ()
 
     profile = rep_profile(model, label)
     try:
@@ -93,19 +104,26 @@ def analyze(p, q, m, n):
     except SubsetBlowup:
         cert = NOT_COMPUTED
     verdict = congruence_verdict(profile)
-    big = profile.big
-    partners = []
+    big, y = profile.big, profile.y
+    # the label's box: rows (p+1)/2 .. p - (m+1)/2, columns c0 .. q - c0
+    c0 = (label.n + 1) // 2
+    width = model.q - 2 * c0 + 1
     lam = []
-    for partner, yj in zip(profile.partners, profile.y):
-        strings = partner_strings.get(partner)
-        if strings is None:
-            strings = partner_strings[partner] = (ratio_str(yj + h_shift, big),
-                                                  ratio_str(yj, big))
-        partners.append({"m": partner[0], "n": partner[1], "h": strings[0]})
-        lam.append(strings[1])
+    cuts = []
+    start = 0
+    for mj in range((model.p + 1) // 2, model.p - (label.m + 1) // 2 + 1):
+        row = rows.get(mj)
+        if row is None or row[0] > c0:
+            ys = y[start:start + width]
+            row = rows[mj] = [c0, [ratio_str(v + h_shift, big) for v in ys],
+                              [ratio_str(v, big) for v in ys], None]
+        lo = c0 - row[0]
+        cuts.append((mj, row, lo, lo + width))
+        lam += row[2][lo:lo + width]
+        start += width
 
     record["s"] = profile.s
-    record["partners"] = partners
+    record["partners"] = []
     record["lambda"] = lam
     record["r"] = ["%d/%d" % (xj // g, big // g) for xj in profile.x for g in [gcd(xj, big)]]
     record["level"] = verdict.details["level"]
@@ -121,11 +139,61 @@ def analyze(p, q, m, n):
 
     record["verdict"] = verdict._asdict()
     record["spaces"] = space_comparison(profile)._asdict()
+    return record, cuts
+
+
+def analyze(p, q, m, n):
+    """Full analysis record for the canonical label of (m, n) in V(p, q).
+
+    Raises the usual validation errors on bad input; an in-range label
+    that is not acting yields a reduced record with acting = false.  Each
+    call returns fresh objects, the partner dicts included, which the
+    caller may change.
+    """
+    record, cuts = _record(p, q, m, n)
+    if cuts:
+        record["partners"] = [{"m": mj, "n": nj, "h": h}
+                              for mj, row, lo, hi in cuts
+                              for nj, h in enumerate(row[1][lo:hi], row[0] + lo)]
     return record
 
 
+def _kept(record, condition):
+    key, value = condition
+    if key == "verdict":
+        return "verdict" in record and record["verdict"]["status"] == value
+    return record.get(key) == value
+
+
+def record_line(fmt, condition, cell):
+    """The output line of the record of cell = (p, q, m, n), with its
+    newline: JSON for fmt "jsonl" and a CSV row for "csv"; or "" if the
+    filter condition, a (record key, value) pair or None, drops the record.
+
+    Each line equals the one rendered from analyze(*cell), but no partner
+    dict is built: the partner objects are spliced in as the JSON texts
+    their model's rows keep.  The cell is one argument, so that a pool
+    can map a partial of this function over a scan's cells.
+    """
+    record, cuts = _record(*cell)
+    if condition is not None and not _kept(record, condition):
+        return ""
+    if fmt == "csv":
+        return record_to_csv_line(record)
+    text = record_to_json(record)
+    if cuts:
+        partners = []
+        for mj, row, lo, hi in cuts:
+            if row[3] is None:
+                row[3] = ['{"m": %d, "n": %d, "h": "%s"}' % (mj, nj, h)
+                          for nj, h in enumerate(row[1], row[0])]
+            partners += row[3][lo:hi]
+        text = text.replace('"partners": []', '"partners": [%s]' % ", ".join(partners), 1)
+    return text + "\n"
+
+
 #: json.dumps's encoder checks every container for a cycle; a record
-#: never contains itself (analyze builds each one fresh, and the one list
+#: never contains itself (_record builds each one fresh, and the one list
 #: it holds twice, level_factorization, holds only lists of ints), so
 #: that bookkeeping is skipped
 _JSON_ENCODER = json.JSONEncoder(check_circular=False)

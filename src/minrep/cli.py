@@ -50,8 +50,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; we need 64
+    # argparse exits 2 on usage errors by default; we need 64.  Its
+    # message quotes the offending argument in full, so a long one keeps
+    # only its first and last 100 characters
     def error(self, message):
+        if len(message) > 200:
+            message = message[:100] + " ... " + message[-100:]
         raise _UsageError(message)
 
 
@@ -136,11 +140,10 @@ def entry():
 
 
 def cmd_analyze(args):
-    record = analysis.analyze(args.p, args.q, args.m, args.n)
     if args.format == "json":
-        print(analysis.record_to_json(record))
+        sys.stdout.write(analysis.record_line("jsonl", None, (args.p, args.q, args.m, args.n)))
     else:
-        print(analysis.record_to_table(record))
+        print(analysis.record_to_table(analysis.analyze(args.p, args.q, args.m, args.n)))
     return EXIT_OK
 
 
@@ -160,24 +163,6 @@ def _parse_filter(spec):
     return ("s" if key == "dim" else "level"), int(number)
 
 
-def _kept(record, condition):
-    key, value = condition
-    if key == "verdict":
-        return "verdict" in record and record["verdict"]["status"] == value
-    return record.get(key) == value
-
-
-def _scan_cell(fmt, condition, cell):
-    """The output text of one cell: its record's line in the format fmt,
-    or "" if the filter condition drops the record."""
-    record = analysis.analyze(*cell)
-    if condition is not None and not _kept(record, condition):
-        return ""
-    if fmt == "jsonl":
-        return analysis.record_to_json(record) + "\n"
-    return analysis.record_to_csv_line(record)
-
-
 def cmd_scan(args):
     if not (2 <= args.p_max <= MAX_INDEX and 2 <= args.q_max <= MAX_INDEX):
         raise _UsageError("scan bounds must lie in [2, MAX_INDEX = %d]" % MAX_INDEX)
@@ -186,7 +171,7 @@ def cmd_scan(args):
     # each line is rendered where its cell is analyzed, so that only text
     # crosses the pool's pipes; a partial of a module function, so that a
     # multiprocessing pool put in Pool's place can pickle it too
-    scan_cell = partial(_scan_cell, args.format, _parse_filter(args.filter))
+    scan_cell = partial(analysis.record_line, args.format, _parse_filter(args.filter))
     cells = (
         (model.p, model.q, label.m, label.n)
         for model in models(args.p_max, args.q_max)
@@ -327,7 +312,8 @@ _FRAME_BYTES = 4
 _PIPE_BYTES = 1 << 20
 
 
-_FACTOR_RE = re.compile(r"(?:(\d{0}(?:/\d{0})?)|(G4|G6|D)(?:\^(\d{0}))?)$".format(_DIGITS))
+_FACTOR_RE = re.compile(r"(?:([0-9]{0}(?:/[0-9]{0})?)|(G4|G6|D)(?:\^([0-9]{0}))?)$"
+                        .format(_DIGITS))
 
 
 def parse_operator(expr, order):
@@ -365,7 +351,7 @@ def parse_operator(expr, order):
     return total
 
 
-_BUILTIN_RE = re.compile(r"eta(?:\^(\d{0}))?$|G(\d{0})$".format(_DIGITS))
+_BUILTIN_RE = re.compile(r"eta(?:\^([0-9]{0}))?$|G([0-9]{0})$".format(_DIGITS))
 
 
 def parse_builtin_series(name, order):

@@ -114,6 +114,79 @@ def test_record_json_matches_json_dumps_byte_for_byte():
     assert count == 7081
 
 
+#: no filter and a filter of each kind, as cli._parse_filter returns them
+_FILTERS = [None, ("verdict", "noncongruence"), ("s", 3), ("level", 60)]
+
+
+def _oracle_kept(record, condition):
+    if condition is None:
+        return True
+    key, value = condition
+    if key == "verdict":
+        return record.get("verdict", {}).get("status") == value
+    return record.get(key) == value
+
+
+def _assert_rows_within_the_model(model):
+    """The partner rows of the model's table: each spans n_j = c0 .. q - c0
+    of a row m_j of the half box, and together they hold at most
+    (p - 1)(q - 1)/2 cells.  Returns them."""
+    p, q = model.p, model.q
+    rows = analysis._model_table(p, q)[3]
+    assert rows, model
+    for mj, (c0, hs, lams, texts) in rows.items():
+        assert (p + 1) // 2 <= mj <= p - 1 and 1 <= c0 <= q // 2, (model, mj)
+        assert len(hs) == len(lams) == q - 2 * c0 + 1, (model, mj)
+    assert sum(len(row[1]) for row in rows.values()) <= (p - 1) * (q - 1) // 2, model
+    return rows
+
+
+def test_record_line_equals_the_rendered_analyze_record_on_grid_20():
+    # record_line builds no partner dict; on every cell of grid 20, in both
+    # formats and under each filter kind, its line is the one rendered from
+    # analyze, and every partner text a row keeps is json.dumps of the
+    # partner's dict.  A scan meets the widest box of a model first; the
+    # labels are taken here in reverse, so that rows are also rebuilt wider
+    kept = dict.fromkeys(_FILTERS, 0)
+    cells = 0
+    for model in models(20, 20):
+        for label in reversed(list_modules(model)):
+            cell = (model.p, model.q, label.m, label.n)
+            record = analysis.analyze(*cell)
+            lines = {"jsonl": json.dumps(record) + "\n",
+                     "csv": analysis.record_to_csv_line(record)}
+            for condition in _FILTERS:
+                keep = _oracle_kept(record, condition)
+                kept[condition] += keep
+                for fmt, line in lines.items():
+                    assert analysis.record_line(fmt, condition, cell) == (
+                        line if keep else ""), (cell, fmt, condition)
+            cells += 1
+        for mj, (c0, hs, lams, texts) in _assert_rows_within_the_model(model).items():
+            assert texts == [json.dumps({"m": mj, "n": nj, "h": h})
+                             for nj, h in enumerate(hs, c0)], (model, mj)
+    assert cells == kept[None] == 7081
+    assert all(0 < count < cells for count in list(kept.values())[1:]), kept
+
+
+def test_model_rows_stay_within_the_boxes_analyzed(capsys):
+    # a row is built from the profile of one label and spans that label's
+    # box, so a grid-20 scan leaves at most (p - 1)(q - 1)/2 cells in the
+    # rows of each model it keeps, and a label with s = 1 builds one cell
+    assert cli.main(["scan", "--p-max", "20", "--q-max", "20"]) == 0
+    assert capsys.readouterr().out.count("\n") == 7081
+    tables = analysis._model_table
+    hits = tables.cache_info().hits
+    for model in list(models(20, 20))[-analysis._MODEL_TABLES:]:
+        _assert_rows_within_the_model(model)
+    assert tables.cache_info().hits == hits + analysis._MODEL_TABLES
+    tables.cache_clear()
+    record = analysis.analyze(10007, 2, 10005, 1)
+    assert record["s"] == 1 and len(record["partners"]) == 1
+    rows = tables(10007, 2)[3]
+    assert [(mj, len(row[1])) for mj, row in rows.items()] == [(5004, 1)]
+
+
 def _csv_module_line(cells):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(cells)
@@ -242,6 +315,30 @@ def test_untrusted_text_is_echoed_at_most_20_characters(capsys):
         assert message in err and len(err.encode()) < 200, message
 
 
+def test_argparse_messages_stay_short(capsys):
+    # argparse quotes a bad choice or a stray argument in full; the usage
+    # error keeps its start and end and stays short
+    scan = ["scan", "--p-max", "5", "--q-max", "4"]
+    for argv, message in ((scan + ["--format", "x" * 5000], "(choose from 'jsonl', 'csv')"),
+                          (scan + ["y" * 5000], "unrecognized arguments"),
+                          (["z" * 5000], "invalid choice")):
+        assert cli.main(argv) == cli.EXIT_USAGE == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err, message
+        assert len(err.encode()) < 300, message
+
+
+def test_cli_qseries_reads_only_ascii_digits(capsys):
+    # int() and Fraction() read any Unicode decimal digit; the grammar
+    # of --expr and --apply does not
+    for expr, target in (("\u0663*G4", "G4"), ("D", "G\u0664"), ("D", "eta^\u0662")):
+        assert cli.main(["qseries", "--expr", expr, "--apply", target,
+                         "--order", "2"]) == 65, (expr, target)
+        assert capsys.readouterr().err.startswith("expression error: ")
+    assert cli.main(["qseries", "--expr", "3*G4", "--apply", "G4", "--order", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_scan_includes_benchmarks(capsys):
     code = cli.main(["scan", "--p-max", "7", "--q-max", "8"])
     out = capsys.readouterr().out
@@ -364,18 +461,18 @@ def test_cli_qseries_matches_the_pinned_digests(capsys):
 
 
 def test_cli_scan_writes_each_record_before_the_next_cell(capsys, monkeypatch):
-    # when analyze is called for cell k + 1, stdout holds the records of
-    # the first k cells: a scan holds no list of records
-    analyze = analysis.analyze
+    # when record_line is called for cell k + 1, stdout holds the records
+    # of the first k cells: a scan holds no list of records
+    record_line = analysis.record_line
     written = []
     lines_before_call = []
 
-    def spy(p, q, m, n):
+    def spy(fmt, condition, cell):
         written.append(capsys.readouterr().out)
         lines_before_call.append("".join(written).count("\n"))
-        return analyze(p, q, m, n)
+        return record_line(fmt, condition, cell)
 
-    monkeypatch.setattr(cli.analysis, "analyze", spy)
+    monkeypatch.setattr(cli.analysis, "record_line", spy)
     assert cli.main(["scan", "--p-max", "7", "--q-max", "6"]) == 0
     written.append(capsys.readouterr().out)
     assert len(lines_before_call) > 20
@@ -498,14 +595,14 @@ def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
     script = """if True:
         import os, sys
         from minrep import analysis, cli
-        analyze = analysis.analyze
+        record_line = analysis.record_line
 
-        def failing(p, q, m, n):
-            if (p, q, m, n) == (11, 7, 1, 2):
-                raise ValueError("cell %d %d %d %d fails" % (p, q, m, n))
-            return analyze(p, q, m, n)
+        def failing(fmt, condition, cell):
+            if cell == (11, 7, 1, 2):
+                raise ValueError("cell %d %d %d %d fails" % cell)
+            return record_line(fmt, condition, cell)
 
-        analysis.analyze = failing
+        analysis.record_line = failing
         cli.os.cpu_count = lambda: 2
         try:
             sys.exit(cli.main(sys.argv[1:]))
@@ -534,10 +631,10 @@ def test_cli_scan_worker_failure_is_loud_and_leaves_no_child():
 def test_cli_internal_error_exits_70_with_its_traceback(capsys, monkeypatch):
     # an unexpected exception is an internal error, told apart from a
     # failed check (1) by its exit code
-    def failing(p, q, m, n):
-        raise ValueError("cell %d %d %d %d fails" % (p, q, m, n))
+    def failing(fmt, condition, cell):
+        raise ValueError("cell %d %d %d %d fails" % cell)
 
-    monkeypatch.setattr(cli.analysis, "analyze", failing)
+    monkeypatch.setattr(cli.analysis, "record_line", failing)
     assert cli.main(["scan", "--p-max", "5", "--q-max", "4"]) == cli.EXIT_INTERNAL == 70
     err = capsys.readouterr().err
     assert err.startswith("Traceback")

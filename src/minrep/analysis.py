@@ -105,13 +105,12 @@ def _record(p, q, m, n):
         cert = NOT_COMPUTED
     verdict = congruence_verdict(profile)
     big, y = profile.big, profile.y
-    # the label's box: rows (p+1)/2 .. p - (m+1)/2, columns c0 .. q - c0
-    c0 = (label.n + 1) // 2
-    width = model.q - 2 * c0 + 1
+    box_rows, cols = profile.box
+    c0, width = cols.start, len(cols)
     lam = []
     cuts = []
     start = 0
-    for mj in range((model.p + 1) // 2, model.p - (label.m + 1) // 2 + 1):
+    for mj in box_rows:
         row = rows.get(mj)
         if row is None or row[0] > c0:
             ys = y[start:start + width]

@@ -20,9 +20,10 @@ parametrised exactly by the box
 
     (p+1)/2 <= m_j <= p - (m+1)/2,     (n+1)/2 <= n_j <= q - (n+1)/2,
 
-one representative per flip class, so their number is (p-m)(q-n)/2.  The
-partner list is kept in lexicographic (m_j, n_j) order and every exponent
-vector computed downstream inherits that order.
+one representative per flip class, so their number is (p-m)(q-n)/2.
+partner_box returns the box as two ranges; the partners are its cells in
+lexicographic (m_j, n_j) order, and every exponent vector computed
+downstream inherits that order.
 """
 
 from .core import _check_label_range
@@ -32,29 +33,39 @@ from .errors import NonCanonicalLabel, OutOfRange
 MAX_DIMENSION = 100_000
 
 
-def self_coupled_partners(model, label):
-    """All partners (m_j, n_j) of the acting label, as a tuple of pairs in
-    lexicographic order.
+def partner_box(model, label):
+    """The partner box of the acting label, as (rows, cols): the range of
+    m_j from (p+1)/2 to p - (m+1)/2 and the range of n_j from (n+1)/2 to
+    q - (n+1)/2.
 
-    The pairs live in the half-range m_j >= (p+1)/2; they are deliberately
+    The rows live in the half-range m_j >= (p+1)/2; they are deliberately
     not canonicalised to odd m_j, which would double count flip classes.
-    Completeness against brute force enumeration of the rules over the full
-    index range modulo the flip is exercised by the test suite.  Raises
-    OutOfRange when s exceeds MAX_DIMENSION.
+    The box has s = (p - m)(q - n)/2 cells and is O(1) in size, so the cap
+    is checked before anything is listed: raises OutOfRange when s exceeds
+    MAX_DIMENSION.
     """
     s = rep_dimension(model, label)
     if s > MAX_DIMENSION:
         raise OutOfRange("dimension %s exceeds MAX_DIMENSION = %d" % (s, MAX_DIMENSION))
     p, q, m, n = model.p, model.q, label.m, label.n
-    pairs = tuple(
-        (mj, nj)
-        for mj in range((p + 1) // 2, p - (m + 1) // 2 + 1)
-        for nj in range((n + 1) // 2, q - (n + 1) // 2 + 1)
-    )
-    if len(pairs) != s:
+    rows = range((p + 1) // 2, p - (m + 1) // 2 + 1)
+    cols = range((n + 1) // 2, q - (n + 1) // 2 + 1)
+    if len(rows) * len(cols) != s:
         raise AssertionError("label (%s, %s) has %d partners, not (p - m)(q - n)/2"
-                             % (m, n, len(pairs)))
-    return pairs
+                             % (m, n, len(rows) * len(cols)))
+    return rows, cols
+
+
+def self_coupled_partners(model, label):
+    """All partners (m_j, n_j) of the acting label, as a tuple of pairs in
+    lexicographic order: the cells of partner_box, row by row.
+
+    Completeness against brute force enumeration of the rules over the full
+    index range modulo the flip is exercised by the test suite.  Raises
+    OutOfRange when s exceeds MAX_DIMENSION.
+    """
+    rows, cols = partner_box(model, label)
+    return tuple((mj, nj) for mj in rows for nj in cols)
 
 
 def rep_dimension(model, label):

@@ -19,6 +19,8 @@ The profile stores only the integer numerators over M = 48 p q,
     x_j = y_j - ((n p - m q)^2 - (p - q)^2)         (r_j = x_j / M),
 
 with a_j = n_j p - m_j q; the Fraction tuples are derived on demand.
+Along a row of the partner box a_j steps by p, so y is built from the
+box's two ranges without listing the partners.
 
 Every acting label satisfies the identity
 
@@ -36,12 +38,13 @@ on T.
 """
 
 from fractions import Fraction
-from math import floor
 from typing import NamedTuple
 
 from .core import central_charge, conformal_weight
 from .errors import NotPrimeCase, OutOfScopeDimension, SubsetBlowup
-from .fusion import rep_dimension, self_coupled_partners
+# self_coupled_partners stays bound here so that call-site wrappers of
+# repdata.self_coupled_partners resolve
+from .fusion import partner_box, rep_dimension, self_coupled_partners
 
 IRREDUCIBLE = "irreducible"
 INCONCLUSIVE = "inconclusive"
@@ -53,17 +56,19 @@ SUBSET_CAP = 20
 class RepProfile(NamedTuple):
     """Full exponent data of rho_{m,n}, as integer numerators over big.
 
-    big = 48 p q; lam[j] = y[j] / big is the leading exponent of the j-th
-    1-point function and r[j] = x[j] / big the exponent of the j-th
-    diagonal entry of rho(T); both follow the lexicographic partner order.
-    r[j] - lam[j] = -h/12 for every j.  The Fraction views lam, r, h and c
-    are computed on each access, not cached.
+    box = (rows, cols) is the label's partner box from fusion.partner_box,
+    two ranges, so the profile holds no per-partner pairs.  big = 48 p q;
+    lam[j] = y[j] / big is the leading exponent of the j-th 1-point
+    function and r[j] = x[j] / big the exponent of the j-th diagonal entry
+    of rho(T); both follow the lexicographic partner order, row by row
+    through the box.  r[j] - lam[j] = -h/12 for every j.  The Fraction
+    views lam, r, h and c are computed on each access, not cached.
     """
 
     model: object
     label: object
     s: int
-    partners: tuple
+    box: tuple
     big: int
     y: tuple
     x: tuple
@@ -86,14 +91,20 @@ class RepProfile(NamedTuple):
 
 
 def rep_profile(model, label):
-    """Compute the exponent profile of the acting label."""
-    partners = self_coupled_partners(model, label)
+    """Compute the exponent profile of the acting label.
+
+    In row m_j of the box, a_j = n_j p - m_j q runs over an arithmetic
+    progression of step p, so y_j = 12 a_j^2 - 2pq is read off a range
+    and no partner pair is built.
+    """
+    rows, cols = partner_box(model, label)
     p, q, m, n = model.p, model.q, label.m, label.n
     two_pq = 2 * p * q
-    y = tuple(12 * (nj * p - mj * q) ** 2 - two_pq for mj, nj in partners)
+    lo, hi = cols.start * p, cols.stop * p
+    y = tuple([12 * a * a - two_pq for mj in rows for a in range(lo - mj * q, hi - mj * q, p)])
     shift = (n * p - m * q) ** 2 - (p - q) ** 2
-    x = tuple(v - shift for v in y)
-    return RepProfile(model, label, len(partners), partners, 48 * p * q, y, x)
+    x = tuple([v - shift for v in y])
+    return RepProfile(model, label, len(y), (rows, cols), 48 * p * q, y, x)
 
 
 def prime_case_closed_forms(model, label):
@@ -219,6 +230,9 @@ def minimal_weight_profile(profile):
         raise OutOfScopeDimension(
             "minimal weight data is restricted to dimension <= 3, got %s" % profile.s
         )
-    alpha = tuple(l - floor(l) for l in profile.lam)
-    k0 = Fraction(12, profile.s) * sum(alpha) + 1 - profile.s
-    return MinimalWeightProfile(alpha, k0)
+    s, big = profile.s, profile.big
+    # alpha_j = (y_j mod big) / big is the fractional part of lambda_j, and
+    # k0 = 12 (sum alpha_j)/s + 1 - s over the common denominator s big
+    nums = [v % big for v in profile.y]
+    alpha = tuple(Fraction(v, big) for v in nums)
+    return MinimalWeightProfile(alpha, Fraction(12 * sum(nums) + (1 - s) * s * big, s * big))

@@ -5,7 +5,7 @@ the library paths they check) so that agreement is a genuine cross-check.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 
 def admissible(p, q, triple):
@@ -147,6 +147,15 @@ def brute_certificate(rs):
     if any(t % d == 0 for t in sums[1:-1]):
         return "inconclusive"
     return "irreducible"
+
+
+def fraction_minimal_weight(lams):
+    """Reduced exponents alpha_j = lambda_j - floor(lambda_j) and the
+    minimal weight k0 = 12/s * sum(alpha_j) + 1 - s, in Fractions, from
+    the leading exponents lams of an s-dimensional representation."""
+    s = len(lams)
+    alpha = tuple(lam - floor(lam) for lam in lams)
+    return alpha, Fraction(12, s) * sum(alpha) + 1 - s
 
 
 def partner_canonical_keys(p, q, pairs):

@@ -193,9 +193,11 @@ def test_criterion_09_criterion_consistency():
             N = fast_level(p, q, m, n)
             cert_fires = s < min_congruence_dim(Level(N, factorize(N)))
             # the criteria and the classification read only the model, the
-            # label and s of a profile; this grid has 66 million partners,
-            # and building them through rep_profile takes ten times as long
-            # as the rest of this test
+            # label and s of a profile, never its box, y or x
+            # (test_congruence.py::test_verdict_reads_no_exponent_data);
+            # this grid has 66 million partners, and building their
+            # exponents through rep_profile takes ten times as long as the
+            # rest of this test
             profile = RepProfile(model, label, s, (), 48 * p * q, (), ())
             checked += 1
             if prime_power_criterion(profile).holds and not cert_fires:

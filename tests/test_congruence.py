@@ -28,7 +28,7 @@ from minrep.congruence import (BOUNDARY_PRIME_POWER, CONGRUENCE,
 from minrep.core import models
 from minrep.fusion import rep_dimension
 from minrep.qseries import _pow_series, eta_power
-from minrep.repdata import SUBSET_CAP, prime_case_closed_forms
+from minrep.repdata import SUBSET_CAP, RepProfile, prime_case_closed_forms
 from minrep.selftest import suite_lemmas
 from minrep.spaces import (DIM1, DIM2_I, DIM2_II, DIM3_I, DIM3_II, SHAPES,
                            low_dim_case, space_comparison)
@@ -420,6 +420,35 @@ def test_verdict_unknown_when_nothing_fires():
             assert classify_low_dim(rep_profile(model, label)).criterion == DIM3_UNDETERMINED
         v = congruence_verdict(rep_profile(model, label))
         assert (v.status, v.criterion, v.details["agreeing_criteria"]) == want, (p, q, m, n)
+
+
+class _ExponentBlindProfile(RepProfile):
+    """A profile whose partner box and exponent numerators raise when read."""
+
+    __slots__ = ()
+
+    def _unread(self):
+        raise AssertionError("the verdict read exponent data")
+
+    box = y = x = property(_unread)
+
+
+def test_verdict_reads_no_exponent_data():
+    # the verdict is O(1) per label: it reads the model, the label and s of
+    # a profile, never its box, y or x (nor lam or r, which read y and x);
+    # test_criterion_09 relies on this to verdict grid 60 without profiles
+    checked = 0
+    for model in models(16, 16):
+        for label in list_modules(model):
+            if not label.is_acting:
+                continue
+            profile = rep_profile(model, label)
+            blind = _ExponentBlindProfile(*profile)
+            with pytest.raises(AssertionError, match="exponent data"):
+                blind.y
+            assert congruence_verdict(blind) == congruence_verdict(profile), (model, label)
+            checked += 1
+    assert checked == 1372
 
 
 def test_low_dim_level_must_match_computed_level(monkeypatch):

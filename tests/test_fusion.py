@@ -8,7 +8,8 @@ import pytest
 from minrep import (ModuleLabel, conformal_weight, list_modules,
                     rep_dimension, self_coupled_partners, validate_model)
 from minrep.core import models
-from minrep.errors import NonCanonicalLabel
+from minrep.errors import NonCanonicalLabel, OutOfRange
+from minrep.fusion import MAX_DIMENSION, partner_box
 
 from oracles import admissible, brute_self_coupled, partner_canonical_keys
 
@@ -51,11 +52,22 @@ def test_partner_examples():
     assert self_coupled_partners(lee_yang, ModuleLabel(3, 1)) == ((3, 1),)
 
 
+def test_partner_box_examples():
+    assert partner_box(ISING, ModuleLabel(1, 1)) == (range(2, 3), range(1, 4))
+    assert partner_box(validate_model(9, 8), ModuleLabel(3, 5)) == (range(5, 8), range(3, 6))
+    # s = 224 * 447 = 100128 > MAX_DIMENSION: refused, though the box is
+    # only two ranges
+    assert rep_dimension(validate_model(449, 448), ModuleLabel(1, 1)) > MAX_DIMENSION
+    with pytest.raises(OutOfRange, match="MAX_DIMENSION"):
+        partner_box(validate_model(449, 448), ModuleLabel(1, 1))
+
+
 def test_partner_rejects_non_acting():
-    with pytest.raises(NonCanonicalLabel):
-        self_coupled_partners(ISING, ModuleLabel(1, 2))
-    with pytest.raises(NonCanonicalLabel):
-        self_coupled_partners(ISING, ModuleLabel(2, 1))
+    for func in (partner_box, self_coupled_partners):
+        with pytest.raises(NonCanonicalLabel):
+            func(ISING, ModuleLabel(1, 2))
+        with pytest.raises(NonCanonicalLabel):
+            func(ISING, ModuleLabel(2, 1))
 
 
 def test_rep_dimension_examples():

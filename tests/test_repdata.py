@@ -17,11 +17,12 @@ from minrep import (ModuleLabel, analysis, irreducibility_certificate,
                     prime_case_closed_forms, rep_profile, selftest,
                     validate_model)
 from minrep.core import MAX_INDEX, list_modules, models
-from minrep.fusion import MAX_DIMENSION, rep_dimension
+from minrep.fusion import MAX_DIMENSION, rep_dimension, self_coupled_partners
 from minrep.errors import (NotPrimeCase, OutOfRange, OutOfScopeDimension,
                            SubsetBlowup)
 from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, SUBSET_CAP, RepProfile
-from oracles import brute_certificate, kac_central_charge, kac_exponents, kac_weight
+from oracles import (brute_certificate, fraction_minimal_weight, kac_central_charge,
+                     kac_exponents, kac_weight)
 
 
 def F(a, b=1):
@@ -58,8 +59,9 @@ def test_r_lambda_offset_is_constant():
 def test_r_exponent_single_fraction_form():
     # r_j = (12 (n_j p - m_j q)^2 - (n p - m q)^2 + (p - q)^2 - 2 p q) / (48 p q)
     for p, q, m, n in [(3, 4, 1, 1), (5, 7, 1, 3), (7, 4, 5, 1), (9, 8, 3, 5)]:
-        profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
-        for (mj, nj), rj in zip(profile.partners, profile.r):
+        model, label = validate_model(p, q), ModuleLabel(m, n)
+        profile = rep_profile(model, label)
+        for (mj, nj), rj in zip(self_coupled_partners(model, label), profile.r):
             x = (12 * (nj * p - mj * q) ** 2 - (n * p - m * q) ** 2
                  + (p - q) ** 2 - 2 * p * q)
             assert rj == F(x, 48 * p * q)
@@ -197,6 +199,23 @@ def test_minimal_weight_profile_alpha_window():
             assert (l - a).denominator == 1
 
 
+def test_minimal_weight_profile_matches_fraction_oracle():
+    # every acting label with s <= 3 up to grid 60: (p - m)(q - n) <= 6
+    # with m and n odd
+    checked = 0
+    for model in models(60, 60):
+        p, q = model.p, model.q
+        for m in range(max(1, p - 6), p, 2):
+            for n in range(max(1, q - 6 // (p - m)) | 1, q, 2):
+                profile = rep_profile(model, ModuleLabel(m, n))
+                assert profile.s <= 3
+                data = minimal_weight_profile(profile)
+                assert (data.alpha, data.k0) == fraction_minimal_weight(profile.lam), (
+                    p, q, m, n)
+                checked += 1
+    assert checked == 3405
+
+
 def test_minimal_weight_profile_guards():
     big = rep_profile(validate_model(5, 7), ModuleLabel(1, 3))
     with pytest.raises(OutOfScopeDimension):
@@ -237,7 +256,8 @@ def test_profile_and_certificate_match_kac_oracle():
             largest_s = max(largest_s, profile.s)
             assert profile.big == 48 * p * q
             oracle = kac_exponents(p, q, m, n)
-            keys = [min((a, b), (p - a, q - b)) for a, b in profile.partners]
+            keys = [min((a, b), (p - a, q - b))
+                    for a, b in self_coupled_partners(model, label)]
             assert sorted(keys) == sorted(oracle)
             expected = [oracle[key] for key in keys]
             assert profile.lam == tuple(lam for _, lam, _ in expected)

@@ -105,12 +105,12 @@ def _record(p, q, m, n):
         cert = NOT_COMPUTED
     verdict = congruence_verdict(profile)
     big, y = profile.big, profile.y
-    box_rows, cols = profile.box
-    c0, width = cols.start, len(cols)
+    box = profile.box
+    c0, width = box.cols.start, len(box.cols)
     lam = []
     cuts = []
     start = 0
-    for mj in box_rows:
+    for mj in box.rows:
         row = rows.get(mj)
         if row is None or row[0] > c0:
             ys = y[start:start + width]

@@ -42,9 +42,7 @@ from typing import NamedTuple
 
 from .core import central_charge, conformal_weight
 from .errors import NotPrimeCase, OutOfScopeDimension, SubsetBlowup
-# self_coupled_partners stays bound here so that call-site wrappers of
-# repdata.self_coupled_partners resolve
-from .fusion import partner_box, rep_dimension, self_coupled_partners
+from .fusion import rep_dimension, self_coupled_partners
 
 IRREDUCIBLE = "irreducible"
 INCONCLUSIVE = "inconclusive"
@@ -56,8 +54,8 @@ SUBSET_CAP = 20
 class RepProfile(NamedTuple):
     """Full exponent data of rho_{m,n}, as integer numerators over big.
 
-    box = (rows, cols) is the label's partner box from fusion.partner_box,
-    two ranges, so the profile holds no per-partner pairs.  big = 48 p q;
+    box is the label's fusion.PartnerBox, two ranges that iterate as the
+    partners, so the profile holds no per-partner pairs.  big = 48 p q;
     lam[j] = y[j] / big is the leading exponent of the j-th 1-point
     function and r[j] = x[j] / big the exponent of the j-th diagonal entry
     of rho(T); both follow the lexicographic partner order, row by row
@@ -68,7 +66,7 @@ class RepProfile(NamedTuple):
     model: object
     label: object
     s: int
-    box: tuple
+    box: object
     big: int
     y: tuple
     x: tuple
@@ -97,14 +95,15 @@ def rep_profile(model, label):
     progression of step p, so y_j = 12 a_j^2 - 2pq is read off a range
     and no partner pair is built.
     """
-    rows, cols = partner_box(model, label)
+    box = self_coupled_partners(model, label)
     p, q, m, n = model.p, model.q, label.m, label.n
     two_pq = 2 * p * q
-    lo, hi = cols.start * p, cols.stop * p
-    y = tuple([12 * a * a - two_pq for mj in rows for a in range(lo - mj * q, hi - mj * q, p)])
+    lo, hi = box.cols.start * p, box.cols.stop * p
+    y = tuple([12 * a * a - two_pq
+               for mj in box.rows for a in range(lo - mj * q, hi - mj * q, p)])
     shift = (n * p - m * q) ** 2 - (p - q) ** 2
     x = tuple([v - shift for v in y])
-    return RepProfile(model, label, len(y), (rows, cols), 48 * p * q, y, x)
+    return RepProfile(model, label, len(y), box, 48 * p * q, y, x)
 
 
 def prime_case_closed_forms(model, label):

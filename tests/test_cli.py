@@ -757,8 +757,7 @@ def test_package_modules_use_every_name_they_import():
     assert excused == {("minrep.analysis", "level"),
                        ("minrep.spaces", "irreducibility_certificate"),
                        ("minrep.congruence", "rep_profile"),
-                       ("minrep.congruence", "rep_dimension"),
-                       ("minrep.repdata", "self_coupled_partners")}
+                       ("minrep.congruence", "rep_dimension")}
 
 
 def test_package_source_has_no_assert_statements():

@@ -9,7 +9,7 @@ from minrep import (ModuleLabel, conformal_weight, list_modules,
                     rep_dimension, self_coupled_partners, validate_model)
 from minrep.core import models
 from minrep.errors import NonCanonicalLabel, OutOfRange
-from minrep.fusion import MAX_DIMENSION, partner_box
+from minrep.fusion import MAX_DIMENSION, PartnerBox
 
 from oracles import admissible, brute_self_coupled, partner_canonical_keys
 
@@ -46,28 +46,37 @@ def test_is_admissible_invariances():
 
 
 def test_partner_examples():
-    assert self_coupled_partners(ISING, ModuleLabel(1, 3)) == ((2, 2),)
-    assert self_coupled_partners(ISING, ModuleLabel(1, 1)) == ((2, 1), (2, 2), (2, 3))
+    assert tuple(self_coupled_partners(ISING, ModuleLabel(1, 3))) == ((2, 2),)
+    assert tuple(self_coupled_partners(ISING, ModuleLabel(1, 1))) == ((2, 1), (2, 2), (2, 3))
     lee_yang = validate_model(5, 2)
-    assert self_coupled_partners(lee_yang, ModuleLabel(3, 1)) == ((3, 1),)
+    assert tuple(self_coupled_partners(lee_yang, ModuleLabel(3, 1))) == ((3, 1),)
 
 
 def test_partner_box_examples():
-    assert partner_box(ISING, ModuleLabel(1, 1)) == (range(2, 3), range(1, 4))
-    assert partner_box(validate_model(9, 8), ModuleLabel(3, 5)) == (range(5, 8), range(3, 6))
+    box = self_coupled_partners(ISING, ModuleLabel(1, 1))
+    assert (box.rows, box.cols) == (range(2, 3), range(1, 4))
+    box = self_coupled_partners(validate_model(9, 8), ModuleLabel(3, 5))
+    assert box == PartnerBox(range(5, 8), range(3, 6))
+    assert hash(box) == hash(PartnerBox(range(5, 8), range(3, 6)))
+    assert box != PartnerBox(range(5, 8), range(3, 5)) and box != tuple(box)
+    cells = [(mj, nj) for mj in range(5, 8) for nj in range(3, 6)]
+    assert len(box) == 9 and list(box) == cells
+    assert [box[i] for i in range(-9, 9)] == cells + cells
+    for index in (9, -10):
+        with pytest.raises(IndexError):
+            box[index]
     # s = 224 * 447 = 100128 > MAX_DIMENSION: refused, though the box is
     # only two ranges
     assert rep_dimension(validate_model(449, 448), ModuleLabel(1, 1)) > MAX_DIMENSION
     with pytest.raises(OutOfRange, match="MAX_DIMENSION"):
-        partner_box(validate_model(449, 448), ModuleLabel(1, 1))
+        self_coupled_partners(validate_model(449, 448), ModuleLabel(1, 1))
 
 
 def test_partner_rejects_non_acting():
-    for func in (partner_box, self_coupled_partners):
-        with pytest.raises(NonCanonicalLabel):
-            func(ISING, ModuleLabel(1, 2))
-        with pytest.raises(NonCanonicalLabel):
-            func(ISING, ModuleLabel(2, 1))
+    with pytest.raises(NonCanonicalLabel):
+        self_coupled_partners(ISING, ModuleLabel(1, 2))
+    with pytest.raises(NonCanonicalLabel):
+        self_coupled_partners(ISING, ModuleLabel(2, 1))
 
 
 def test_rep_dimension_examples():

@@ -17,7 +17,7 @@ from minrep import (ModuleLabel, analysis, irreducibility_certificate,
                     prime_case_closed_forms, rep_profile, selftest,
                     validate_model)
 from minrep.core import MAX_INDEX, list_modules, models
-from minrep.fusion import MAX_DIMENSION, rep_dimension, self_coupled_partners
+from minrep.fusion import MAX_DIMENSION, rep_dimension
 from minrep.errors import (NotPrimeCase, OutOfRange, OutOfScopeDimension,
                            SubsetBlowup)
 from minrep.repdata import INCONCLUSIVE, IRREDUCIBLE, SUBSET_CAP, RepProfile
@@ -59,9 +59,8 @@ def test_r_lambda_offset_is_constant():
 def test_r_exponent_single_fraction_form():
     # r_j = (12 (n_j p - m_j q)^2 - (n p - m q)^2 + (p - q)^2 - 2 p q) / (48 p q)
     for p, q, m, n in [(3, 4, 1, 1), (5, 7, 1, 3), (7, 4, 5, 1), (9, 8, 3, 5)]:
-        model, label = validate_model(p, q), ModuleLabel(m, n)
-        profile = rep_profile(model, label)
-        for (mj, nj), rj in zip(self_coupled_partners(model, label), profile.r):
+        profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
+        for (mj, nj), rj in zip(profile.box, profile.r):
             x = (12 * (nj * p - mj * q) ** 2 - (n * p - m * q) ** 2
                  + (p - q) ** 2 - 2 * p * q)
             assert rj == F(x, 48 * p * q)
@@ -256,8 +255,7 @@ def test_profile_and_certificate_match_kac_oracle():
             largest_s = max(largest_s, profile.s)
             assert profile.big == 48 * p * q
             oracle = kac_exponents(p, q, m, n)
-            keys = [min((a, b), (p - a, q - b))
-                    for a, b in self_coupled_partners(model, label)]
+            keys = [min((a, b), (p - a, q - b)) for a, b in profile.box]
             assert sorted(keys) == sorted(oracle)
             expected = [oracle[key] for key in keys]
             assert profile.lam == tuple(lam for _, lam, _ in expected)

@@ -104,7 +104,7 @@ def _record(p, q, m, n):
     except SubsetBlowup:
         cert = NOT_COMPUTED
     verdict = congruence_verdict(profile)
-    big, y = profile.big, profile.y
+    big, y, h_num = profile.big, profile.y, profile.h_num
     box = profile.box
     c0, width = box.cols.start, len(box.cols)
     lam = []
@@ -124,7 +124,8 @@ def _record(p, q, m, n):
     record["s"] = profile.s
     record["partners"] = []
     record["lambda"] = lam
-    record["r"] = ["%d/%d" % (xj // g, big // g) for xj in profile.x for g in [gcd(xj, big)]]
+    record["r"] = ["%d/%d" % (xj // g, big // g)
+                   for xj in map((-h_num).__add__, y) for g in [gcd(xj, big)]]
     record["level"] = verdict.details["level"]
     record["level_factorization"] = verdict.details["level_factorization"]
     record["irreducibility"] = cert

@@ -100,7 +100,10 @@ def build_parser():
     pt = sub.add_parser("selftest", help="run the verification sweeps")
     pt.add_argument("--suite", choices=["all", "monic", "lemmas", "ratios", "qseries"],
                     default="all")
-    pt.add_argument("--grid", type=_integer, default=None)
+    pt.add_argument("--grid", type=_integer, default=None,
+                    help="grid of the monic (default 50), lemmas and ratios "
+                         "(default 60) suites; the qseries suite has no grid "
+                         "and ignores it")
     pt.set_defaults(run=cmd_selftest)
     return parser
 

@@ -124,9 +124,10 @@ def fast_level(p, q, m, n):
     so N = lcm_j (M / gcd(M, x_j)) = M / gcd(M, gcd_j x_j).  The partners
     fill the box of fusion.self_coupled_partners, m_j = (p+1)/2 + i,
     n_j = (n+1)/2 + j with 0 <= i < (p-m)/2 and 0 <= j < q-n (its corner a0
-    and widths wi, wj are written out here, so that no box is built per
-    call), on which x is an integer quadratic f(i, j).  By Newton's forward
-    differences,
+    and widths wi, wj, and the weight numerator (n p - m q)^2 - (p - q)^2
+    of repdata.RepProfile.h_num, are written out here, so that no box or
+    profile is built per call), on which x is an integer quadratic f(i, j).
+    By Newton's forward differences,
     f(i, j) = sum over a + b <= 2 of C(i, a) C(j, b) (D^a_i D^b_j f)(0, 0),
     and each difference is an integer combination of values at points
     (a', b') with a' <= a, b' <= b.  Terms with a or b past the box width

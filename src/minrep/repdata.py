@@ -13,14 +13,16 @@ e^{2 pi i r_j} where
     r_j = lambda_j - h_{m,n} / 12
         = (12 (n_j p - m_j q)^2 - (n p - m q)^2 + (p - q)^2 - 2 p q) / (48 p q).
 
-The profile stores only the integer numerators over M = 48 p q,
+The profile stores each exponent once, as an integer numerator over
+M = 48 p q, together with the weight numerator of the label:
 
     y_j = 12 a_j^2 - 2 p q                          (lambda_j = y_j / M),
-    x_j = y_j - ((n p - m q)^2 - (p - q)^2)         (r_j = x_j / M),
+    h_num = (n p - m q)^2 - (p - q)^2               (h_{m,n} = 12 h_num / M),
 
-with a_j = n_j p - m_j q; the Fraction tuples are derived on demand.
-Along a row of the partner box a_j steps by p, so y is built from the
-box's two ranges without listing the partners.
+with a_j = n_j p - m_j q.  The numerator of r_j is x_j = y_j - h_num
+(r_j = x_j / M), derived where it is read; the Fraction tuples are
+derived on demand.  Along a row of the partner box a_j steps by p, so y
+is built from the box's two ranges without listing the partners.
 
 Every acting label satisfies the identity
 
@@ -40,7 +42,7 @@ on T.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import central_charge, conformal_weight
+from .core import central_charge
 from .errors import NotPrimeCase, OutOfScopeDimension, SubsetBlowup
 from .fusion import rep_dimension, self_coupled_partners
 
@@ -57,10 +59,12 @@ class RepProfile(NamedTuple):
     box is the label's fusion.PartnerBox, two ranges that iterate as the
     partners, so the profile holds no per-partner pairs.  big = 48 p q;
     lam[j] = y[j] / big is the leading exponent of the j-th 1-point
-    function and r[j] = x[j] / big the exponent of the j-th diagonal entry
-    of rho(T); both follow the lexicographic partner order, row by row
-    through the box.  r[j] - lam[j] = -h/12 for every j.  The Fraction
-    views lam, r, h and c are computed on each access, not cached.
+    function, in the lexicographic partner order, row by row through the
+    box.  h_num = (n p - m q)^2 - (p - q)^2 is the numerator of the
+    label's weight h = h_num / (4 p q), so r[j] = (y[j] - h_num) / big,
+    the exponent of the j-th diagonal entry of rho(T), is lam[j] - h/12.
+    The Fraction views lam, r, h and c are computed on each access, not
+    cached.
     """
 
     model: object
@@ -69,7 +73,7 @@ class RepProfile(NamedTuple):
     box: object
     big: int
     y: tuple
-    x: tuple
+    h_num: int
 
     @property
     def lam(self):
@@ -77,11 +81,11 @@ class RepProfile(NamedTuple):
 
     @property
     def r(self):
-        return tuple(Fraction(v, self.big) for v in self.x)
+        return tuple(Fraction(v - self.h_num, self.big) for v in self.y)
 
     @property
     def h(self):
-        return conformal_weight(self.model, self.label.m, self.label.n)
+        return Fraction(self.h_num, self.big // 12)
 
     @property
     def c(self):
@@ -101,9 +105,8 @@ def rep_profile(model, label):
     lo, hi = box.cols.start * p, box.cols.stop * p
     y = tuple([12 * a * a - two_pq
                for mj in box.rows for a in range(lo - mj * q, hi - mj * q, p)])
-    shift = (n * p - m * q) ** 2 - (p - q) ** 2
-    x = tuple([v - shift for v in y])
-    return RepProfile(model, label, len(y), box, 48 * p * q, y, x)
+    return RepProfile(model, label, len(y), box, 48 * p * q, y,
+                      (n * p - m * q) ** 2 - (p - q) ** 2)
 
 
 def prime_case_closed_forms(model, label):
@@ -111,7 +114,8 @@ def prime_case_closed_forms(model, label):
 
     Returns (case, y, x) with case one of "coincident" (s = 1), "i"
     (m = p-2, n = q-s) or "ii" (m = p-2s, n = q-1), and y, x the integer
-    numerators of (lambda_j) and (r_j) over big = 48 p q, as in RepProfile.
+    numerators of (lambda_j) and (r_j) over big = 48 p q: y as RepProfile
+    stores it and x = y - h_num as RepProfile derives it.
     The j index runs 1..s and coincides with the lexicographic partner
     order, so the tuples match rep_profile entrywise.  The forms are
     polynomial in (p, q, s, j) and hold for every s on these two shapes;
@@ -143,15 +147,14 @@ def minimal_weight_identity(profile):
     """Whether h_{m,n} = 12 (sum lambda_j)/s + 1 - s holds exactly.
 
     It holds for every s (the Wronskian weight count in the module
-    docstring), so False flags a bug in the exponents.
+    docstring), so False flags a bug in the exponents y or in the weight
+    numerator h_num; the test runs in integers, over the common
+    denominator s * big.
     """
-    p, q = profile.model.p, profile.model.q
-    m, n = profile.label.m, profile.label.n
     s, big = profile.s, profile.big
-    # the identity times s * big * 4pq, with h = h_num / (4pq) and
+    # the identity times s * big, with h = 12 h_num / big and
     # lambda_j = y_j / big
-    h_num = (n * p - m * q) ** 2 - (p - q) ** 2
-    return h_num * s * big == (12 * sum(profile.y) + (1 - s) * s * big) * 4 * p * q
+    return 12 * profile.h_num * s == 12 * sum(profile.y) + (1 - s) * s * big
 
 
 def irreducibility_certificate(profile):
@@ -159,13 +162,15 @@ def irreducibility_certificate(profile):
 
     Returns "irreducible" when no proper nonempty subset S of the r_j has
     12 * sum(S) integral, "inconclusive" otherwise (the criterion is
-    sufficient, not necessary).  Since 12 r_j = x_j / D with D = 4 p q, a
-    subset qualifies when its x_j sum to 0 mod D.  The search is Bellman's
-    subset-sum DP on Z/DZ over the residues of the nonempty subsets of
-    x_1..x_{s-1}, adding one element per step.  A proper subset containing
-    x_s qualifies exactly when its complement, a nonempty subset of
-    x_1..x_{s-1}, sums to sum(x) mod D; so the answer is "inconclusive" iff
-    the reached residues include 0 or sum(x) mod D.
+    sufficient, not necessary).  Since 12 r_j = x_j / D with D = 4 p q and
+    x_j = y_j - h_num, a subset qualifies when its x_j sum to 0 mod D; the
+    residues are taken off y and h_num, with no x tuple built.  The search
+    is Bellman's subset-sum DP on Z/DZ over the residues of the nonempty
+    subsets of x_1..x_{s-1}, adding one element per step.  A proper subset
+    containing x_s qualifies exactly when its complement, a nonempty
+    subset of x_1..x_{s-1}, sums to sum(x) = sum(y) - s h_num mod D; so
+    the answer is "inconclusive" iff the reached residues include 0 or
+    that sum.
 
     There are at most min(2^(s-1), D) such residues, and the store follows
     the smaller bound: a D-bit integer, rotated once per element, when
@@ -175,9 +180,9 @@ def irreducibility_certificate(profile):
     s = profile.s
     if s > SUBSET_CAP:
         raise SubsetBlowup("dimension %s exceeds the subset cap %s" % (s, SUBSET_CAP))
-    d = profile.big // 12
-    xs = [v % d for v in profile.x[:-1]]
-    target = sum(profile.x) % d
+    d, y, h_num = profile.big // 12, profile.y, profile.h_num
+    xs = [(v - h_num) % d for v in y[:-1]]
+    target = (sum(y) - s * h_num) % d
     if d > 1 << s:
         reach = set()
         for v in xs:

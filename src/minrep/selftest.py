@@ -56,7 +56,7 @@ def suite_monic(grid):
             if not minimal_weight_identity(profile):
                 failures.append("identity fails at (%s,%s,%s,%s)" % (p, q, m, n))
             _, y, x = prime_case_closed_forms(model, label)
-            if y != profile.y or x != profile.x:
+            if y != profile.y or x != tuple([v - profile.h_num for v in profile.y]):
                 failures.append("closed forms differ at (%s,%s,%s,%s)" % (p, q, m, n))
     return SuiteResult("monic", checked, failures)
 

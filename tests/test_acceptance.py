@@ -193,12 +193,12 @@ def test_criterion_09_criterion_consistency():
             N = fast_level(p, q, m, n)
             cert_fires = s < min_congruence_dim(Level(N, factorize(N)))
             # the criteria and the classification read only the model, the
-            # label and s of a profile, never its box, y or x
+            # label and s of a profile, never its box, y or h_num
             # (test_congruence.py::test_verdict_reads_no_exponent_data);
             # this grid has 66 million partners, and building their
             # exponents through rep_profile takes ten times as long as the
             # rest of this test
-            profile = RepProfile(model, label, s, (), 48 * p * q, (), ())
+            profile = RepProfile(model, label, s, (), 48 * p * q, (), None)
             checked += 1
             if prime_power_criterion(profile).holds and not cert_fires:
                 failures.append(("prime-power", p, q, m, n))

@@ -423,19 +423,20 @@ def test_verdict_unknown_when_nothing_fires():
 
 
 class _ExponentBlindProfile(RepProfile):
-    """A profile whose partner box and exponent numerators raise when read."""
+    """A profile whose partner box, exponent numerators and weight numerator
+    raise when read."""
 
     __slots__ = ()
 
     def _unread(self):
         raise AssertionError("the verdict read exponent data")
 
-    box = y = x = property(_unread)
+    box = y = h_num = property(_unread)
 
 
 def test_verdict_reads_no_exponent_data():
     # the verdict is O(1) per label: it reads the model, the label and s of
-    # a profile, never its box, y or x (nor lam or r, which read y and x);
+    # a profile, never its box, y or h_num (nor lam, r or h, which read them);
     # test_criterion_09 relies on this to verdict grid 60 without profiles
     checked = 0
     for model in models(16, 16):
@@ -444,8 +445,9 @@ def test_verdict_reads_no_exponent_data():
                 continue
             profile = rep_profile(model, label)
             blind = _ExponentBlindProfile(*profile)
-            with pytest.raises(AssertionError, match="exponent data"):
-                blind.y
+            for field in ("y", "h_num"):
+                with pytest.raises(AssertionError, match="exponent data"):
+                    getattr(blind, field)
             assert congruence_verdict(blind) == congruence_verdict(profile), (model, label)
             checked += 1
     assert checked == 1372

@@ -50,10 +50,21 @@ def test_two_dim_constant_family_profile():
 
 
 def test_r_lambda_offset_is_constant():
-    for p, q, m, n in [(3, 4, 1, 1), (5, 7, 1, 3), (7, 4, 5, 1), (9, 2, 1, 1)]:
-        profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
-        offsets = {rj - lj for rj, lj in zip(profile.r, profile.lam)}
-        assert offsets == {-profile.h / 12}
+    # h and r - lam both derive from h_num, so each is held against the
+    # Kac formula of the oracle, on every acting label up to grid 20
+    checked = 0
+    for model in models(20, 20):
+        p, q = model.p, model.q
+        for label in list_modules(model):
+            if not label.is_acting:
+                continue
+            profile = rep_profile(model, label)
+            h = kac_weight(p, q, label.m, label.n)
+            assert profile.h == h, (p, q, label)
+            offsets = {rj - lj for rj, lj in zip(profile.r, profile.lam)}
+            assert offsets == {-h / 12}, (p, q, label)
+            checked += 1
+    assert checked > 0
 
 
 def test_r_exponent_single_fraction_form():
@@ -94,7 +105,7 @@ def test_prime_case_matches_general_computation():
             profile = rep_profile(model, label)
             _, y, x = prime_case_closed_forms(model, label)
             assert y == profile.y, (p, q, label)
-            assert x == profile.x, (p, q, label)
+            assert x == tuple(v - profile.h_num for v in profile.y), (p, q, label)
             # the Fraction edge: the numerators read back as lam, r
             assert tuple(F(v, profile.big) for v in y) == profile.lam
             assert tuple(F(v, profile.big) for v in x) == profile.r
@@ -144,6 +155,8 @@ def test_minimal_weight_identity_detects_a_wrong_exponent():
         profile = rep_profile(validate_model(p, q), ModuleLabel(m, n))
         assert minimal_weight_identity(profile)
         bumped = profile._replace(y=(profile.y[0] + 1,) + profile.y[1:])
+        assert not minimal_weight_identity(bumped), (p, q, m, n)
+        bumped = profile._replace(h_num=profile.h_num + 1)
         assert not minimal_weight_identity(bumped), (p, q, m, n)
 
 
@@ -302,14 +315,18 @@ def test_certificate_matches_subset_listing_on_all_small_residue_tuples():
     # [-2, 7).  Real profiles up to p, q <= 40 never need the sum(x)
     # complement test; tuples such as (1, 6), where only {x_s} qualifies, do.
     # D = 6 takes the bitset store from s = 3 on, D = 40 keeps every s <= 4
-    # on the residue set, so both stores see every tuple.
+    # on the residue set, so both stores see every tuple.  Each tuple is
+    # passed as y = x + h_num at three weight numerators, so that both
+    # stores also take the x_j = y_j - h_num route with a nonzero shift.
     from itertools import product
     for big in (72, 480):
         for s in range(1, 5):
             for xs in product(range(-2, 7), repeat=s):
-                profile = RepProfile(None, None, s, None, big, None, xs)
                 expected = brute_certificate([F(x, big) for x in xs])
-                assert irreducibility_certificate(profile) == expected, (big, xs)
+                for h in (0, 5, -7 * big):
+                    ys = tuple(x + h for x in xs)
+                    profile = RepProfile(None, None, s, None, big, ys, h)
+                    assert irreducibility_certificate(profile) == expected, (big, xs, h)
 
 
 def test_small_dimension_analysis_at_large_indices_stays_small():
@@ -368,7 +385,8 @@ def _assert_certified_irreducible(p, q, gap):
     residues = _LOW_DIM_RESIDUES[gap]
     d = 4 * p * q
     if residues is not None:
-        assert [v % d for v in profile.x] == [v % d for v in residues(p, q)], (p, q, gap)
+        xs = [v - profile.h_num for v in profile.y]
+        assert [v % d for v in xs] == [v % d for v in residues(p, q)], (p, q, gap)
     assert irreducibility_certificate(profile) == IRREDUCIBLE, (p, q, gap)
     data = minimal_weight_profile(profile)
     assert len(data.alpha) == profile.s <= 3

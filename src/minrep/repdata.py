@@ -148,8 +148,7 @@ def minimal_weight_identity(profile):
 
     It holds for every s (the Wronskian weight count in the module
     docstring), so False flags a bug in the exponents y or in the weight
-    numerator h_num; the test runs in integers, over the common
-    denominator s * big.
+    numerator h_num.
     """
     s, big = profile.s, profile.big
     # the identity times s * big, with h = 12 h_num / big and

@@ -6,12 +6,16 @@ minimal weight data (dimension at most 3), the congruence verdict and the
 space comparison.  All rationals serialize as exact "a/b" strings, never
 floats, so records round-trip losslessly through JSON.
 
+A record has a fixed key order, and every string in it is printable ASCII
+with no '"' and no backslash (tests/test_cli.py checks both on grid 20), so
+a line is rendered by filling one fixed template per format and kind of
+record, acting or not, with no encoder and no escaping.
+
 Canonical labels with even n are genuine modules but carry no self-coupled
 intertwining action; their records keep only the bookkeeping fields and set
 "acting" to false.
 """
 
-import json
 from functools import lru_cache
 from math import gcd
 
@@ -171,36 +175,83 @@ def record_line(fmt, condition, cell):
     filter condition, a (record key, value) pair or None, drops the record.
 
     Each line equals the one rendered from analyze(*cell), but no partner
-    dict is built: the partner objects are spliced in as the JSON texts
-    their model's rows keep.  The cell is one argument, so that a pool
-    can map a partial of this function over a scan's cells.
+    dict is built: record_to_json takes the partner JSON texts that their
+    model's rows keep.  The cell is one argument, so that a pool can map a
+    partial of this function over a scan's cells.
     """
     record, cuts = _record(*cell)
     if condition is not None and not _kept(record, condition):
         return ""
     if fmt == "csv":
         return record_to_csv_line(record)
-    text = record_to_json(record)
-    if cuts:
-        partners = []
-        for mj, row, lo, hi in cuts:
-            if row[3] is None:
-                row[3] = ['{"m": %d, "n": %d, "h": "%s"}' % (mj, nj, h)
-                          for nj, h in enumerate(row[1], row[0])]
-            partners += row[3][lo:hi]
-        text = text.replace('"partners": []', '"partners": [%s]' % ", ".join(partners), 1)
-    return text + "\n"
+    partners = []
+    for mj, row, lo, hi in cuts:
+        if row[3] is None:
+            row[3] = ['{"m": %d, "n": %d, "h": "%s"}' % (mj, nj, h)
+                      for nj, h in enumerate(row[1], row[0])]
+        partners += row[3][lo:hi]
+    return record_to_json(record, partners) + "\n"
 
 
-#: json.dumps's encoder checks every container for a cycle; a record
-#: never contains itself (_record builds each one fresh, and the one list
-#: it holds twice, level_factorization, holds only lists of ints), so
-#: that bookkeeping is skipped
-_JSON_ENCODER = json.JSONEncoder(check_circular=False)
+def _strs(values):
+    """JSON of a list of strings that need no escaping."""
+    return '["%s"]' % '", "'.join(values) if values else "[]"
 
 
-def record_to_json(record):
-    return _JSON_ENCODER.encode(record)
+def _json(value):
+    """JSON of a str, int, bool or list of str, as verdict details hold them."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return '"%s"' % value
+    return _strs(value) if isinstance(value, list) else "%d" % value
+
+
+#: ratio_check, the one cell that may be None or a bool, in each format
+_JSON_CHECK = {None: "null", True: "true", False: "false"}
+_CSV_CHECK = {None: "", True: "true", False: "false"}
+
+_NOT_ACTING_JSON = '{"p": %d, "q": %d, "m": %d, "n": %d, "acting": false, "c": "%s", "h": "%s"}'
+
+_ACTING_JSON = (
+    '{"p": %d, "q": %d, "m": %d, "n": %d, "acting": true, "c": "%s", "h": "%s", "s": %d, '
+    '"partners": [%s], "lambda": ["%s"], "r": ["%s"], "level": %d, "level_factorization": %s, '
+    '"irreducibility": "%s", "k0": %s, "alpha": %s, '
+    '"verdict": {"status": "%s", "criterion": "%s", "details": {"s": %d, "level": %d, '
+    '"level_factorization": %s, "min_congruence_dim": %d, "agreeing_criteria": %s%s}}, '
+    '"spaces": {"status": "%s", "lambda_flags": ["%s"], "ratio_check": %s}}'
+)
+
+
+def record_to_json(record, partners):
+    """The JSON text of a record shaped as analyze returns it, whose
+    partner objects are the JSON texts partners.
+
+    The verdict details always start with the same five keys: the one key
+    a low-dimension verdict may restate, "level", keeps its place and its
+    value (congruence_verdict asserts that), and the keys such a verdict
+    adds after the five go through _json.
+    """
+    p, q, m, n = record["p"], record["q"], record["m"], record["n"]
+    if not record["acting"]:
+        return _NOT_ACTING_JSON % (p, q, m, n, record["c"], record["h"])
+    verdict, spaces = record["verdict"], record["spaces"]
+    details = verdict["details"]
+    extra = ""
+    if len(details) > 5:
+        extra = "".join(', "%s": %s' % (key, _json(value))
+                        for key, value in list(details.items())[5:])
+    k0, alpha = record["k0"], record["alpha"]
+    return _ACTING_JSON % (
+        p, q, m, n, record["c"], record["h"], record["s"], ", ".join(partners),
+        '", "'.join(record["lambda"]), '", "'.join(record["r"]), record["level"],
+        record["level_factorization"], record["irreducibility"],
+        "null" if k0 is None else '"%s"' % k0, "null" if alpha is None else _strs(alpha),
+        verdict["status"], verdict["criterion"], details["s"], details["level"],
+        details["level_factorization"], details["min_congruence_dim"],
+        _strs(details["agreeing_criteria"]), extra,
+        spaces["status"], '", "'.join(spaces["lambda_flags"]),
+        _JSON_CHECK[spaces["ratio_check"]])
 
 
 def record_to_table(record):
@@ -226,29 +277,31 @@ def _plain(value):
     return str(value)
 
 
-def _csv_cell(value):
-    """One CSV cell: None is "", a bool "true" or "false", a list ";"-joined."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ";".join(value)
-    return str(value)
+_NOT_ACTING_CSV = "%d,%d,%d,%d,false,%s,%s" + "," * (len(CSV_COLUMNS) - 7) + "\n"
+
+_ACTING_CSV = "%d,%d,%d,%d,true,%s,%s,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
 
 
 def record_to_csv_line(record):
-    """The CSV line of one record, with its newline.
+    """The CSV line of one record shaped as analyze returns it, with its
+    newline: the CSV_COLUMNS cells, where None is "", a bool "true" or
+    "false", and a list ";"-joined.
 
     The cells are joined as they are: each is empty or made of digits,
     lowercase letters, "/", "-" and ";", so none can need quoting.
     """
-    verdict = record.get("verdict", {})
-    spaces = record.get("spaces", {})
-    row = dict(record, verdict_status=verdict.get("status"),
-               verdict_criterion=verdict.get("criterion"),
-               spaces_status=spaces.get("status"), ratio_check=spaces.get("ratio_check"))
-    return ",".join([_csv_cell(row.get(col)) for col in CSV_COLUMNS]) + "\n"
+    p, q, m, n = record["p"], record["q"], record["m"], record["n"]
+    if not record["acting"]:
+        return _NOT_ACTING_CSV % (p, q, m, n, record["c"], record["h"])
+    verdict, spaces = record["verdict"], record["spaces"]
+    k0, alpha = record["k0"], record["alpha"]
+    return _ACTING_CSV % (
+        p, q, m, n, record["c"], record["h"], record["s"], record["level"],
+        record["irreducibility"], "" if k0 is None else k0, verdict["status"],
+        verdict["criterion"], spaces["status"],
+        _CSV_CHECK[spaces["ratio_check"]],
+        ";".join(record["lambda"]), ";".join(record["r"]),
+        "" if alpha is None else ";".join(alpha))
 
 
 def records_to_csv(records):

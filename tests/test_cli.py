@@ -100,16 +100,54 @@ def test_record_json_roundtrip_small_grid():
             for m in range(1, p, 2):
                 for n in range(1, q):
                     record = analysis.analyze(p, q, m, n)
-                    assert json.loads(analysis.record_to_json(record)) == record
+                    text = analysis.record_to_json(record, _partner_texts(record))
+                    assert json.loads(text) == record
+
+
+def _partner_texts(record):
+    return [json.dumps(partner) for partner in record.get("partners", ())]
 
 
 def test_record_json_matches_json_dumps_byte_for_byte():
-    # record_to_json skips json.dumps's cycle check; the text must not move
+    # record_to_json fills a fixed template; on every record of grid 20,
+    # and on two labels whose verdict details carry q and divisor_bound, a
+    # shape no grid-20 record has, its text is json.dumps's
+    cells = [(model.p, model.q, label.m, label.n)
+             for model in models(20, 20) for label in list_modules(model)]
+    assert len(cells) == 7081
+    shapes = set()
+    for cell in cells + [(3, 22, 1, 19), (5, 26, 3, 23)]:
+        record = analysis.analyze(*cell)
+        assert analysis.record_to_json(record, _partner_texts(record)) == json.dumps(record)
+        if record["acting"]:
+            shapes.add(tuple(record["verdict"]["details"])[5:])
+    assert shapes == {(), ("rho_T",), ("r",), ("r", "outside_stated_range"),
+                      ("q", "divisor_bound")}
+
+
+def _walk_strings(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _walk_strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _walk_strings(item)
+    elif isinstance(value, str):
+        yield value
+
+
+def test_record_strings_need_no_escaping():
+    # the JSON and CSV templates put every string of a record in as it is;
+    # that is sound only while each one, keys, partner dicts and verdict
+    # details included, is printable ASCII with no '"' and no backslash
+    plain = re.compile(r'[ !#-\[\]-~]*')
     count = 0
     for model in models(20, 20):
         for label in list_modules(model):
             record = analysis.analyze(model.p, model.q, label.m, label.n)
-            assert analysis.record_to_json(record) == json.dumps(record)
+            for text in _walk_strings(record):
+                assert plain.fullmatch(text), (model, label, text)
             count += 1
     assert count == 7081
 
@@ -193,6 +231,16 @@ def _csv_module_line(cells):
     return out.getvalue()
 
 
+def _oracle_csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value)
+
+
 def test_csv_lines_match_the_csv_module_byte_for_byte():
     # the rows are joined without quoting; csv.writer, which quotes only
     # where a cell needs it, must render every row of grid 20 the same
@@ -208,7 +256,7 @@ def test_csv_lines_match_the_csv_module_byte_for_byte():
                        verdict_criterion=verdict.get("criterion"),
                        spaces_status=spaces.get("status"),
                        ratio_check=spaces.get("ratio_check"))
-            cells = [analysis._csv_cell(row.get(col)) for col in analysis.CSV_COLUMNS]
+            cells = [_oracle_csv_cell(row.get(col)) for col in analysis.CSV_COLUMNS]
             assert all(cell_chars.fullmatch(cell) for cell in cells), cells
             assert analysis.record_to_csv_line(record) == _csv_module_line(cells)
             acting.add(record["acting"])
@@ -1044,7 +1092,7 @@ def test_cli_import_leaves_numpy_out():
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(list(argv))
             heavy = ("numpy", "multiprocessing", "minrep.qseries", "minrep.selftest",
-                     "dataclasses", "inspect")
+                     "dataclasses", "inspect", "json")
             print(code, [name for name in heavy if name in sys.modules and name not in bare])
 
         loaded()

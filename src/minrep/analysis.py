@@ -207,7 +207,7 @@ def _json(value):
     return _strs(value) if isinstance(value, list) else "%d" % value
 
 
-#: ratio_check, the one cell that may be None or a bool, in each format
+#: ratio_check, the one field that is None or a bool, in each format
 _JSON_CHECK = {None: "null", True: "true", False: "false"}
 _CSV_CHECK = {None: "", True: "true", False: "false"}
 

@@ -1078,8 +1078,9 @@ def test_cli_selftest_fails_a_suite_that_ran_no_checks(capsys):
 def test_cli_import_leaves_numpy_out():
     # a command loads the q-series engine and the sweeps only if it uses
     # them; no command loads multiprocessing, the scan's pool forks with os;
-    # and none loads dataclasses or inspect unless the interpreter's own
-    # start-up already did
+    # none loads json, the lines are filled into fixed templates; and none
+    # loads dataclasses or inspect unless the interpreter's own start-up
+    # already did
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = """if True:
         import contextlib, io, sys

@@ -1,4 +1,4 @@
-"""Assembly of machine-readable analysis records.
+"""Analysis records and the scan lines that carry them.
 
 A record collects everything the library computes for one canonical label:
 central charge, conformal weight, partner exponents, level, irreducibility,
@@ -6,10 +6,12 @@ minimal weight data (dimension at most 3), the congruence verdict and the
 space comparison.  All rationals serialize as exact "a/b" strings, never
 floats, so records round-trip losslessly through JSON.
 
-A record has a fixed key order, and every string in it is printable ASCII
-with no '"' and no backslash (tests/test_cli.py checks both on grid 20), so
-a line is rendered by filling one fixed template per format and kind of
-record, acting or not, with no encoder and no escaping.
+A record has one production route, its line: record_line computes the
+stage results of a label once and fills them into one fixed template per
+format and kind of record, acting or not, with no record dict, no encoder
+and no escaping; analyze parses the JSON line.  That is sound because a
+record has a fixed key order and every string in it is printable ASCII
+with no '"' and no backslash (tests/test_cli.py checks both on grid 20).
 
 Canonical labels with even n are genuine modules but carry no self-coupled
 intertwining action; their records keep only the bookkeeping fields and set
@@ -63,8 +65,8 @@ def _model_table(p, q):
     their JSON objects {"m": m_j, "n": n_j, "h": h_j}, None until a JSON
     line first needs them, so that CSV never builds them.
 
-    _record builds a row from the profile of the label that first needs
-    it, and builds it again only for a label whose box is wider (a
+    record_line builds a row from the profile of the label that first
+    needs it, and builds it again only for a label whose box is wider (a
     smaller c0); so a row never spans more than a partner box that
     rep_profile has accepted, and the rows of a model hold at most
     (p - 1)(q - 1)/2 cells.  The model's whole box can hold billions of
@@ -76,43 +78,53 @@ def _model_table(p, q):
     return model, frac_str(central_charge(model)), 2 * p * q - 12 * (p - q) ** 2, {}
 
 
-def _record(p, q, m, n):
-    """The record of analyze, with "partners": [] in its key position, and
-    the label's cuts of its model's partner rows.
+def record_line(fmt, condition, cell):
+    """The output line of the record of cell = (p, q, m, n), with its
+    newline: JSON for fmt "jsonl" and a CSV row for "csv"; or "" if the
+    filter condition drops the record.  condition is None or a pair as
+    cli._parse_filter returns it: ("verdict", status), ("s", s) or
+    ("level", N).
 
-    A cut is (m_j, row, lo, hi): the label's partners in row m_j are
-    n_j = row[0] + lo .. row[0] + hi - 1, rendered in row[1][lo:hi] and,
-    once built, row[3][lo:hi].  The cuts follow the lexicographic partner
-    order; a record that is not acting has none.
+    The stage results (profile, verdict, certificate, spaces, minimal
+    weight and the label's slices of its model's partner rows) are
+    computed once and filled straight into the template; no record dict
+    is built.  All three filter fields are known once the verdict has
+    run, and it runs on every acting label, so that its invariants are
+    checked on every label; a record the filter drops renders nothing
+    else.  A record that is not acting has no s, level or verdict, so
+    every filter drops it.  The cell is one argument, so that a pool can
+    map a partial of this function over a scan's cells.
     """
+    p, q, m, n = cell
     model, c, h_shift, rows = _model_table(p, q)
     if model.p != p:
         # validate_model stored V(q, p), and (m, n) of V(p, q) is (n, m) of V(q, p)
         m, n = n, m
     label = canonical_label(model, m, n)
-    record = {
-        "p": model.p,
-        "q": model.q,
-        "m": label.m,
-        "n": label.n,
-        "acting": label.is_acting,
-        "c": c,
-        "h": frac_str(conformal_weight(model, label.m, label.n)),
-    }
+    head = (model.p, model.q, label.m, label.n, c)
     if not label.is_acting:
-        return record, ()
+        if condition is not None:
+            return ""
+        h = frac_str(conformal_weight(model, label.m, label.n))
+        return (_NOT_ACTING_CSV if fmt == "csv" else _NOT_ACTING_JSON) % (head + (h,))
 
     profile = rep_profile(model, label)
+    verdict = congruence_verdict(profile)
+    details = verdict.details
+    if condition is not None:
+        # the filter keys "s" and "level" are keys of the verdict details
+        key, value = condition
+        if value != (verdict.status if key == "verdict" else details[key]):
+            return ""
     try:
         cert = irreducibility_certificate(profile)
     except SubsetBlowup:
         cert = NOT_COMPUTED
-    verdict = congruence_verdict(profile)
-    big, y, h_num = profile.big, profile.y, profile.h_num
-    box = profile.box
+    spaces = space_comparison(profile)
+    big, y, h_num, box = profile.big, profile.y, profile.h_num, profile.box
     c0, width = box.cols.start, len(box.cols)
-    lam = []
-    cuts = []
+    jsonl = fmt != "csv"
+    lam, partners = [], []
     start = 0
     for mj in box.rows:
         row = rows.get(mj)
@@ -121,76 +133,41 @@ def _record(p, q, m, n):
             row = rows[mj] = [c0, [ratio_str(v + h_shift, big) for v in ys],
                               [ratio_str(v, big) for v in ys], None]
         lo = c0 - row[0]
-        cuts.append((mj, row, lo, lo + width))
         lam += row[2][lo:lo + width]
+        if jsonl:
+            if row[3] is None:
+                row[3] = ['{"m": %d, "n": %d, "h": "%s"}' % (mj, nj, h)
+                          for nj, h in enumerate(row[1], row[0])]
+            partners += row[3][lo:lo + width]
         start += width
-
-    record["s"] = profile.s
-    record["partners"] = []
-    record["lambda"] = lam
-    record["r"] = ["%d/%d" % (xj // g, big // g)
-                   for xj in map((-h_num).__add__, y) for g in [gcd(xj, big)]]
-    record["level"] = verdict.details["level"]
-    record["level_factorization"] = verdict.details["level_factorization"]
-    record["irreducibility"] = cert
-
+    r = ["%d/%d" % (xj // g, big // g)
+         for xj in map((-h_num).__add__, y) for g in [gcd(xj, big)]]
     if profile.s <= 3:
         mw = minimal_weight_profile(profile)
-        record["k0"] = frac_str(mw.k0)
-        record["alpha"] = [frac_str(a) for a in mw.alpha]
+        k0, alpha = frac_str(mw.k0), [frac_str(a) for a in mw.alpha]
     else:
-        record["k0"] = record["alpha"] = None
-
-    record["verdict"] = verdict._asdict()
-    record["spaces"] = space_comparison(profile)._asdict()
-    return record, cuts
+        k0 = alpha = None
+    # h = h_num / 4pq, so no second copy of the weight formula runs
+    head += (ratio_str(h_num, big // 12), profile.s)
+    if jsonl:
+        return record_to_json(head, partners, lam, r, cert, k0, alpha, verdict, spaces)
+    return _ACTING_CSV % (head + (
+        details["level"], cert, "" if k0 is None else k0, verdict.status,
+        verdict.criterion, spaces.status, _CSV_CHECK[spaces.ratio_check],
+        ";".join(lam), ";".join(r), "" if alpha is None else ";".join(alpha)))
 
 
 def analyze(p, q, m, n):
-    """Full analysis record for the canonical label of (m, n) in V(p, q).
+    """Full analysis record for the canonical label of (m, n) in V(p, q):
+    the JSON line of record_line, parsed, so that a record has one
+    production route.
 
     Raises the usual validation errors on bad input; an in-range label
     that is not acting yields a reduced record with acting = false.  Each
-    call returns fresh objects, the partner dicts included, which the
-    caller may change.
+    call returns fresh objects, which the caller may change.
     """
-    record, cuts = _record(p, q, m, n)
-    if cuts:
-        record["partners"] = [{"m": mj, "n": nj, "h": h}
-                              for mj, row, lo, hi in cuts
-                              for nj, h in enumerate(row[1][lo:hi], row[0] + lo)]
-    return record
-
-
-def _kept(record, condition):
-    key, value = condition
-    if key == "verdict":
-        return "verdict" in record and record["verdict"]["status"] == value
-    return record.get(key) == value
-
-
-def record_line(fmt, condition, cell):
-    """The output line of the record of cell = (p, q, m, n), with its
-    newline: JSON for fmt "jsonl" and a CSV row for "csv"; or "" if the
-    filter condition, a (record key, value) pair or None, drops the record.
-
-    Each line equals the one rendered from analyze(*cell), but no partner
-    dict is built: record_to_json takes the partner JSON texts that their
-    model's rows keep.  The cell is one argument, so that a pool can map a
-    partial of this function over a scan's cells.
-    """
-    record, cuts = _record(*cell)
-    if condition is not None and not _kept(record, condition):
-        return ""
-    if fmt == "csv":
-        return record_to_csv_line(record)
-    partners = []
-    for mj, row, lo, hi in cuts:
-        if row[3] is None:
-            row[3] = ['{"m": %d, "n": %d, "h": "%s"}' % (mj, nj, h)
-                      for nj, h in enumerate(row[1], row[0])]
-        partners += row[3][lo:hi]
-    return record_to_json(record, partners) + "\n"
+    import json
+    return json.loads(record_line("jsonl", None, (p, q, m, n)))
 
 
 def _strs(values):
@@ -211,7 +188,7 @@ def _json(value):
 _JSON_CHECK = {None: "null", True: "true", False: "false"}
 _CSV_CHECK = {None: "", True: "true", False: "false"}
 
-_NOT_ACTING_JSON = '{"p": %d, "q": %d, "m": %d, "n": %d, "acting": false, "c": "%s", "h": "%s"}'
+_NOT_ACTING_JSON = '{"p": %d, "q": %d, "m": %d, "n": %d, "acting": false, "c": "%s", "h": "%s"}\n'
 
 _ACTING_JSON = (
     '{"p": %d, "q": %d, "m": %d, "n": %d, "acting": true, "c": "%s", "h": "%s", "s": %d, '
@@ -219,39 +196,34 @@ _ACTING_JSON = (
     '"irreducibility": "%s", "k0": %s, "alpha": %s, '
     '"verdict": {"status": "%s", "criterion": "%s", "details": {"s": %d, "level": %d, '
     '"level_factorization": %s, "min_congruence_dim": %d, "agreeing_criteria": %s%s}}, '
-    '"spaces": {"status": "%s", "lambda_flags": ["%s"], "ratio_check": %s}}'
+    '"spaces": {"status": "%s", "lambda_flags": ["%s"], "ratio_check": %s}}\n'
 )
 
 
-def record_to_json(record, partners):
-    """The JSON text of a record shaped as analyze returns it, whose
-    partner objects are the JSON texts partners.
+def record_to_json(head, partners, lam, r, cert, k0, alpha, verdict, spaces):
+    """The JSON line of an acting label's record, with its newline, from
+    the stage results as record_line holds them: head = (p, q, m, n, c, h,
+    s) with c and h rendered, the partner JSON texts, the rendered lambda
+    and r lists, the certificate, k0 and alpha rendered or None, and the
+    verdict and space comparison as their stage functions return them.
 
     The verdict details always start with the same five keys: the one key
     a low-dimension verdict may restate, "level", keeps its place and its
     value (congruence_verdict asserts that), and the keys such a verdict
     adds after the five go through _json.
     """
-    p, q, m, n = record["p"], record["q"], record["m"], record["n"]
-    if not record["acting"]:
-        return _NOT_ACTING_JSON % (p, q, m, n, record["c"], record["h"])
-    verdict, spaces = record["verdict"], record["spaces"]
-    details = verdict["details"]
+    details = verdict.details
     extra = ""
     if len(details) > 5:
         extra = "".join(', "%s": %s' % (key, _json(value))
                         for key, value in list(details.items())[5:])
-    k0, alpha = record["k0"], record["alpha"]
-    return _ACTING_JSON % (
-        p, q, m, n, record["c"], record["h"], record["s"], ", ".join(partners),
-        '", "'.join(record["lambda"]), '", "'.join(record["r"]), record["level"],
-        record["level_factorization"], record["irreducibility"],
-        "null" if k0 is None else '"%s"' % k0, "null" if alpha is None else _strs(alpha),
-        verdict["status"], verdict["criterion"], details["s"], details["level"],
-        details["level_factorization"], details["min_congruence_dim"],
-        _strs(details["agreeing_criteria"]), extra,
-        spaces["status"], '", "'.join(spaces["lambda_flags"]),
-        _JSON_CHECK[spaces["ratio_check"]])
+    factors = "%s" % details["level_factorization"]
+    return _ACTING_JSON % (head + (
+        ", ".join(partners), '", "'.join(lam), '", "'.join(r), details["level"], factors,
+        cert, "null" if k0 is None else '"%s"' % k0, "null" if alpha is None else _strs(alpha),
+        verdict.status, verdict.criterion, details["s"], details["level"], factors,
+        details["min_congruence_dim"], _strs(details["agreeing_criteria"]), extra,
+        spaces.status, '", "'.join(spaces.lambda_flags), _JSON_CHECK[spaces.ratio_check]))
 
 
 def record_to_table(record):
@@ -282,31 +254,13 @@ _NOT_ACTING_CSV = "%d,%d,%d,%d,false,%s,%s" + "," * (len(CSV_COLUMNS) - 7) + "\n
 _ACTING_CSV = "%d,%d,%d,%d,true,%s,%s,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
 
 
-def record_to_csv_line(record):
-    """The CSV line of one record shaped as analyze returns it, with its
-    newline: the CSV_COLUMNS cells, where None is "", a bool "true" or
-    "false", and a list ";"-joined.
+def records_to_csv(cells):
+    """CSV lines of the records of cells, (p, q, m, n) tuples: the header
+    line, then record_line's row for each cell as it is drawn.
 
-    The cells are joined as they are: each is empty or made of digits,
-    lowercase letters, "/", "-" and ";", so none can need quoting.
+    The cells of a row are joined as they are: each is empty or made of
+    digits, lowercase letters, "/", "-" and ";", so none can need quoting.
     """
-    p, q, m, n = record["p"], record["q"], record["m"], record["n"]
-    if not record["acting"]:
-        return _NOT_ACTING_CSV % (p, q, m, n, record["c"], record["h"])
-    verdict, spaces = record["verdict"], record["spaces"]
-    k0, alpha = record["k0"], record["alpha"]
-    return _ACTING_CSV % (
-        p, q, m, n, record["c"], record["h"], record["s"], record["level"],
-        record["irreducibility"], "" if k0 is None else k0, verdict["status"],
-        verdict["criterion"], spaces["status"],
-        _CSV_CHECK[spaces["ratio_check"]],
-        ";".join(record["lambda"]), ";".join(record["r"]),
-        "" if alpha is None else ";".join(alpha))
-
-
-def records_to_csv(records):
-    """CSV lines of the records: the header line, then one line per record
-    as it is drawn from the iterable records."""
     yield ",".join(CSV_COLUMNS) + "\n"
-    for record in records:
-        yield record_to_csv_line(record)
+    for cell in cells:
+        yield record_line("csv", None, cell)

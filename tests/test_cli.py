@@ -14,14 +14,18 @@ import re
 import subprocess
 import sys
 import time
+from functools import lru_cache
 
 import pytest
 
 import minrep
 from minrep import analysis, cli, errors, qseries, selftest
-from minrep.core import MAX_INDEX, list_modules, models
-from minrep.spaces import WINDOW_FACTS_ONLY
-from oracles import kac_weight
+from minrep.congruence import congruence_verdict
+from minrep.core import MAX_INDEX, canonical_label, list_modules, models, validate_model
+from minrep.repdata import irreducibility_certificate, rep_profile
+from minrep.spaces import WINDOW_FACTS_ONLY, space_comparison
+from oracles import (fraction_level, fraction_minimal_weight, kac_central_charge,
+                     kac_exponents, kac_weight)
 
 
 def test_analyze_record_structure():
@@ -91,37 +95,141 @@ def test_analyze_canonicalises_input():
     assert (record["m"], record["n"]) == (1, 3)
 
 
-def test_record_json_roundtrip_small_grid():
-    from math import gcd
-    for p in range(3, 15, 2):
-        for q in range(2, 15):
-            if q == p or gcd(p, q) != 1:
-                continue
-            for m in range(1, p, 2):
-                for n in range(1, q):
-                    record = analysis.analyze(p, q, m, n)
-                    text = analysis.record_to_json(record, _partner_texts(record))
-                    assert json.loads(text) == record
+def _frac(x):
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _partner_texts(record):
-    return [json.dumps(partner) for partner in record.get("partners", ())]
+def _oracle_record(p, q, m, n):
+    """The record of the label (m, n) of V(p, q), built without
+    minrep.analysis: c, h, the partners' h, lambda and r, the level, k0 and
+    alpha from tests/oracles.py, and the certificate, verdict and spaces
+    from the public stage functions, in the record's key order."""
+    model = validate_model(p, q)
+    if model.p != p:
+        m, n = n, m
+    label = canonical_label(model, m, n)
+    p, q, m, n = model.p, model.q, label.m, label.n
+    record = {"p": p, "q": q, "m": m, "n": n, "acting": label.is_acting,
+              "c": _frac(kac_central_charge(p, q)), "h": _frac(kac_weight(p, q, m, n))}
+    if not label.is_acting:
+        return record
+    exponents = kac_exponents(p, q, m, n)
+    # a record names each partner class by its member with m_j > p/2, the
+    # flip of the oracle's key, and lists them in lexicographic order
+    partners = sorted((p - a, q - b) for a, b in exponents)
+    hs, lams, rs = zip(*(exponents[p - mj, q - nj] for mj, nj in partners))
+    profile = rep_profile(model, label)
+    verdict = congruence_verdict(profile)
+    try:
+        cert = irreducibility_certificate(profile)
+    except errors.SubsetBlowup:
+        cert = "not-computed"
+    alpha, k0 = fraction_minimal_weight(lams) if len(lams) <= 3 else (None, None)
+    record.update({
+        "s": len(partners),
+        "partners": [{"m": mj, "n": nj, "h": _frac(h)} for (mj, nj), h in zip(partners, hs)],
+        "lambda": [_frac(lam) for lam in lams],
+        "r": [_frac(r) for r in rs],
+        "level": fraction_level(p, q, m, n),
+        "level_factorization": verdict.details["level_factorization"],
+        "irreducibility": cert,
+        "k0": None if k0 is None else _frac(k0),
+        "alpha": None if alpha is None else [_frac(a) for a in alpha],
+        "verdict": verdict._asdict(),
+        "spaces": space_comparison(profile)._asdict(),
+    })
+    return record
 
 
-def test_record_json_matches_json_dumps_byte_for_byte():
-    # record_to_json fills a fixed template; on every record of grid 20,
-    # and on two labels whose verdict details carry q and divisor_bound, a
-    # shape no grid-20 record has, its text is json.dumps's
+def _oracle_csv_cells(record):
+    """The CSV_COLUMNS cells of a record: None is "", a bool "true" or
+    "false", and a list ";"-joined."""
+    verdict = record.get("verdict", {})
+    spaces = record.get("spaces", {})
+    row = dict(record, verdict_status=verdict.get("status"),
+               verdict_criterion=verdict.get("criterion"),
+               spaces_status=spaces.get("status"),
+               ratio_check=spaces.get("ratio_check"))
+    return [_oracle_csv_cell(row.get(col)) for col in analysis.CSV_COLUMNS]
+
+
+def _oracle_csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value)
+
+
+def _csv_module_line(cells):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+#: no filter and a filter of each kind, as cli._parse_filter returns them
+_FILTERS = [None, ("verdict", "noncongruence"), ("s", 3), ("level", 60)]
+
+
+def _oracle_kept(record, condition):
+    if condition is None:
+        return True
+    key, value = condition
+    if key == "verdict":
+        return record.get("verdict", {}).get("status") == value
+    return record.get(key) == value
+
+
+@lru_cache(maxsize=None)
+def _expected_on_grid_20():
+    """For every cell of grid 20 in scan order, then (3, 22, 1, 19) and
+    (5, 26, 3, 23), whose verdict details carry q and divisor_bound, a
+    shape no grid-20 record has: (cell, json.dumps line, CSV cells,
+    whether each of _FILTERS keeps it, the verdict details keys after the
+    first five or None), all from _oracle_record.  Built once, and kept as
+    text, for the tests below."""
     cells = [(model.p, model.q, label.m, label.n)
              for model in models(20, 20) for label in list_modules(model)]
     assert len(cells) == 7081
-    shapes = set()
+    expected = []
     for cell in cells + [(3, 22, 1, 19), (5, 26, 3, 23)]:
-        record = analysis.analyze(*cell)
-        assert analysis.record_to_json(record, _partner_texts(record)) == json.dumps(record)
-        if record["acting"]:
-            shapes.add(tuple(record["verdict"]["details"])[5:])
-    assert shapes == {(), ("rho_T",), ("r",), ("r", "outside_stated_range"),
+        record = _oracle_record(*cell)
+        shape = tuple(record["verdict"]["details"])[5:] if record["acting"] else None
+        expected.append((cell, json.dumps(record) + "\n", _oracle_csv_cells(record),
+                         tuple(_oracle_kept(record, c) for c in _FILTERS), shape))
+    return expected
+
+
+def test_record_json_roundtrip_small_grid():
+    # analyze parses its line; on every Kac label (m, n) of every model with
+    # p, q <= 14, in either order of p and q and either member of the
+    # label's pair, it equals the oracle's record, key order included
+    count = 0
+    for p, q in itertools.permutations(range(2, 15), 2):
+        if math.gcd(p, q) != 1:
+            continue
+        for m, n in itertools.product(range(1, p), range(1, q)):
+            record = analysis.analyze(p, q, m, n)
+            expected = _oracle_record(p, q, m, n)
+            assert record == expected, (p, q, m, n)
+            assert list(record) == list(expected), (p, q, m, n)
+            count += 1
+    assert count > 3000
+
+
+def test_record_json_matches_json_dumps_byte_for_byte():
+    # record_line fills a fixed template; on every cell of grid 20, and on
+    # two labels whose details carry q and divisor_bound, its JSON line is
+    # json.dumps of the oracle's record, and analyze parses it back into
+    # that record.  The cells hold every details shape
+    shapes = set()
+    for cell, line, _, _, shape in _expected_on_grid_20():
+        assert analysis.record_line("jsonl", None, cell) == line, cell
+        assert json.dumps(analysis.analyze(*cell)) + "\n" == line, cell
+        shapes.add(shape)
+    assert shapes == {None, (), ("rho_T",), ("r",), ("r", "outside_stated_range"),
                       ("q", "divisor_bound")}
 
 
@@ -152,19 +260,6 @@ def test_record_strings_need_no_escaping():
     assert count == 7081
 
 
-#: no filter and a filter of each kind, as cli._parse_filter returns them
-_FILTERS = [None, ("verdict", "noncongruence"), ("s", 3), ("level", 60)]
-
-
-def _oracle_kept(record, condition):
-    if condition is None:
-        return True
-    key, value = condition
-    if key == "verdict":
-        return record.get("verdict", {}).get("status") == value
-    return record.get(key) == value
-
-
 def _assert_rows_within_the_model(model):
     """The partner rows of the model's table: each spans n_j = c0 .. q - c0
     of a row m_j of the half box, and together they hold at most
@@ -179,32 +274,29 @@ def _assert_rows_within_the_model(model):
     return rows
 
 
-def test_record_line_equals_the_rendered_analyze_record_on_grid_20():
-    # record_line builds no partner dict; on every cell of grid 20, in both
-    # formats and under each filter kind, its line is the one rendered from
-    # analyze, and every partner text a row keeps is json.dumps of the
-    # partner's dict.  A scan meets the widest box of a model first; the
-    # labels are taken here in reverse, so that rows are also rebuilt wider
+def test_record_line_equals_the_rendered_oracle_record_on_grid_20():
+    # on every cell of grid 20, in both formats and under each filter kind,
+    # record_line's line is the oracle record's json.dumps line or csv.writer
+    # row, or "" where the filter drops the record; and every partner text
+    # a row keeps is json.dumps of the partner's dict.  A scan meets the
+    # widest box of a model first; the labels of each model are taken here
+    # in reverse, so that rows are also rebuilt wider
     kept = dict.fromkeys(_FILTERS, 0)
-    cells = 0
-    for model in models(20, 20):
-        for label in reversed(list_modules(model)):
-            cell = (model.p, model.q, label.m, label.n)
-            record = analysis.analyze(*cell)
-            lines = {"jsonl": json.dumps(record) + "\n",
-                     "csv": analysis.record_to_csv_line(record)}
-            for condition in _FILTERS:
-                keep = _oracle_kept(record, condition)
+    expected = _expected_on_grid_20()[:7081]
+    for (p, q), group in itertools.groupby(reversed(expected), key=lambda e: e[0][:2]):
+        for cell, json_line, csv_cells, keeps, _ in group:
+            lines = {"jsonl": json_line, "csv": _csv_module_line(csv_cells)}
+            for condition, keep in zip(_FILTERS, keeps):
                 kept[condition] += keep
                 for fmt, line in lines.items():
                     assert analysis.record_line(fmt, condition, cell) == (
                         line if keep else ""), (cell, fmt, condition)
-            cells += 1
+        model = validate_model(p, q)
         for mj, (c0, hs, lams, texts) in _assert_rows_within_the_model(model).items():
             assert texts == [json.dumps({"m": mj, "n": nj, "h": h})
                              for nj, h in enumerate(hs, c0)], (model, mj)
-    assert cells == kept[None] == 7081
-    assert all(0 < count < cells for count in list(kept.values())[1:]), kept
+    assert kept[None] == 7081
+    assert all(0 < count < 7081 for count in list(kept.values())[1:]), kept
 
 
 def test_model_rows_stay_within_the_boxes_analyzed(capsys):
@@ -225,42 +317,23 @@ def test_model_rows_stay_within_the_boxes_analyzed(capsys):
     assert [(mj, len(row[1])) for mj, row in rows.items()] == [(5004, 1)]
 
 
-def _csv_module_line(cells):
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(cells)
-    return out.getvalue()
-
-
-def _oracle_csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ";".join(value)
-    return str(value)
-
-
 def test_csv_lines_match_the_csv_module_byte_for_byte():
     # the rows are joined without quoting; csv.writer, which quotes only
-    # where a cell needs it, must render every row of grid 20 the same
-    assert next(analysis.records_to_csv(())) == _csv_module_line(analysis.CSV_COLUMNS)
+    # where a cell needs it, must render the oracle's cells of every record
+    # of grid 20 the same; records_to_csv is the header, then those rows
+    header = _csv_module_line(analysis.CSV_COLUMNS)
+    assert list(analysis.records_to_csv(())) == [header]
     cell_chars = re.compile(r"[0-9a-z/;-]*")
     acting = set()
-    for model in models(20, 20):
-        for label in list_modules(model):
-            record = analysis.analyze(model.p, model.q, label.m, label.n)
-            verdict = record.get("verdict", {})
-            spaces = record.get("spaces", {})
-            row = dict(record, verdict_status=verdict.get("status"),
-                       verdict_criterion=verdict.get("criterion"),
-                       spaces_status=spaces.get("status"),
-                       ratio_check=spaces.get("ratio_check"))
-            cells = [_oracle_csv_cell(row.get(col)) for col in analysis.CSV_COLUMNS]
-            assert all(cell_chars.fullmatch(cell) for cell in cells), cells
-            assert analysis.record_to_csv_line(record) == _csv_module_line(cells)
-            acting.add(record["acting"])
+    lines = []
+    for cell, _, cells, _, shape in _expected_on_grid_20():
+        assert all(cell_chars.fullmatch(text) for text in cells), cells
+        lines.append(_csv_module_line(cells))
+        assert analysis.record_line("csv", None, cell) == lines[-1], cell
+        acting.add(shape is not None)
     assert acting == {True, False}
+    head = [entry[0] for entry in _expected_on_grid_20()[:300]]
+    assert list(analysis.records_to_csv(head)) == [header] + lines[:300]
 
 
 def test_cli_analyze_json(capsys):
@@ -1078,9 +1151,10 @@ def test_cli_selftest_fails_a_suite_that_ran_no_checks(capsys):
 def test_cli_import_leaves_numpy_out():
     # a command loads the q-series engine and the sweeps only if it uses
     # them; no command loads multiprocessing, the scan's pool forks with os;
-    # none loads json, the lines are filled into fixed templates; and none
-    # loads dataclasses or inspect unless the interpreter's own start-up
-    # already did
+    # only analyze --format table loads json, to parse the record's line,
+    # since the lines are filled into fixed templates; and none loads
+    # dataclasses or inspect unless the interpreter's own start-up already
+    # did
     src = os.path.dirname(os.path.dirname(os.path.abspath(minrep.__file__)))
     script = """if True:
         import contextlib, io, sys
@@ -1099,18 +1173,21 @@ def test_cli_import_leaves_numpy_out():
         loaded()
         loaded("analyze", "--p", "5", "--q", "7", "--m", "1", "--n", "3")
         loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "1")
+        loaded("scan", "--p-max", "8", "--q-max", "8", "--format", "csv")
         cli.os.cpu_count = lambda: 1
         loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "8")
         cli.os.cpu_count = lambda: 2
         loaded("scan", "--p-max", "8", "--q-max", "8", "--jobs", "2")
         loaded("selftest", "--suite", "ratios", "--grid", "10")
+        loaded("analyze", "--p", "5", "--q", "7", "--m", "1", "--n", "3", "--format", "table")
     """
     out = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines() == ["None []", "0 []", "0 []", "0 []", "0 []",
-                                "0 ['minrep.qseries', 'minrep.selftest']"]
+    assert out.splitlines() == ["None []", "0 []", "0 []", "0 []", "0 []", "0 []",
+                                "0 ['minrep.qseries', 'minrep.selftest']",
+                                "0 ['minrep.qseries', 'minrep.selftest', 'json']"]
     for path in glob.glob(os.path.join(src, "minrep", "*.py")):
         with open(path) as module:
             assert "@dataclass" not in module.read(), path
